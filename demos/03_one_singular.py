@@ -9,7 +9,7 @@ subalgebra element that links the two kinds.
 from fractions import Fraction as F
 
 from gtmodules.action import act_e, act_gamma, coeff_e, gamma_dvbar, gamma_eval
-from gtmodules.ratcalc import Poly, RatFun, rf_d_pair, rf_pole_order0
+from gtmodules.ratcalc import Jet, rf_d_pair
 from gtmodules.structure import basis_key
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize, classify
 
@@ -35,10 +35,10 @@ def main():
 
     # the deformed coefficient of a raising summand at the coincident pair
     z0 = Shift.zero(3)
-    rf = coeff_e(v, 2, 3, 1, z0, deform=True)
+    jet = coeff_e(v, 2, 3, 1, z0, deform=True)
     print("\nraising summand coefficient at the coincident pair:")
-    print("  pole order at t=0:", rf_pole_order0(rf))
-    cleared = rf * RatFun(Poly([0, 2]))
+    print("  pole order at t=0:", -jet.order)
+    cleared = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))
     print("  after multiplying by the vanishing difference 2t:", rf_d_pair(cleared))
 
     print("\nE(2,3) on the swap-fixed regular label:")

@@ -6,7 +6,7 @@ structure analysis (subquotient bases, separation, irreducibility
 verdicts).
 """
 
-from .ratcalc import Rat, Poly, RatFun, rf_arith, rf_from_linear_factors, rf_pole_order0, rf_d_pair
+from .ratcalc import Jet, Rat, rf_d_pair, rf_from_linear_factors
 from .tableau import (
     BaseVector,
     Classification,

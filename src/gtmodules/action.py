@@ -20,16 +20,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .ratcalc import (
-    DegenerateFactor,
-    Poly,
-    PoleAtZero,
-    RatFun,
-    RF_ZERO,
-    rf_d_pair,
-    rf_from_linear_factors,
-    rf_pole_order0,
-)
+from .ratcalc import Jet, PoleAtZero, rf_d_pair, rf_from_linear_factors
 from .tableau import (
     BaseVector,
     Family,
@@ -58,9 +49,8 @@ __all__ = [
     "weight_eigenvalue",
 ]
 
-RF_2T = RatFun(Poly([0, 2]))
-
 _ZERO = Fraction(0)
+_NO_SLOPES: dict = {}
 
 
 class NotStandard(ValueError):
@@ -158,28 +148,14 @@ class ModVec:
 
 
 @lru_cache(maxsize=None)
-def _tcoefs(v: BaseVector) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Positions carrying the deformation variable, or None outside the
-    one-singular family: +t at (k, i), -t at (k, j)."""
+def _tcoefs(v: BaseVector) -> dict[int, dict[int, int]]:
+    """Slope of the deformation variable per row and position (read-only):
+    +t at (k, i), -t at (k, j), and none outside the one-singular family."""
     cls = classify(v)
     if cls.family is not Family.ONE_SINGULAR:
-        return None
+        return _NO_SLOPES
     k, i, j = cls.singular
-    return ((k, i), (k, j))
-
-
-def _entry_term(v: BaseVector, z: Shift, r: int, s: int, deform: bool) -> tuple[Fraction, int]:
-    """Entry of the shifted tableau as a linear term (c, m) = c + m t."""
-    c = v.entry(r, s) + z.get(r, s)
-    m = 0
-    if deform:
-        pair = _tcoefs(v)
-        if pair is not None:
-            if (r, s) == pair[0]:
-                m = 1
-            elif (r, s) == pair[1]:
-                m = -1
-    return c, m
+    return {k: {i: 1, j: -1}}
 
 
 def weight_eigenvalue(v: BaseVector, r: int, z: Shift) -> Fraction:
@@ -201,7 +177,7 @@ def _summand_spec(l: int, m: int) -> tuple[int, int]:
     raise ValueError(f"E({l},{m}) is not an elementary generator")
 
 
-def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift, deform: bool = True) -> RatFun:
+def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift, deform: bool = True) -> Jet:
     """Coefficient of the s0-th summand of the E_{lm} tableau formula at v+z.
 
     For E_{r,r+1} this is minus the product of differences against row r+1
@@ -212,29 +188,18 @@ def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift, deform: bool = Tru
     vanishing denominator difference raises DegenerateFactor.
     """
     if l == m:
-        return RatFun.constant(weight_eigenvalue(v, l, z))
+        return rf_from_linear_factors([(weight_eigenvalue(v, l, z), 0)], [])
     r, direction = _summand_spec(l, m)
     if not (1 <= s0 <= r):
         raise ValueError(f"summand index {s0} out of range for row {r}")
-    a = _entry_term(v, z, r, s0, deform)
-    num: list[tuple[Fraction, int]] = []
-    if direction > 0:
-        sign = -1
-        for jj in range(1, r + 2):
-            b = _entry_term(v, z, r + 1, jj, deform)
-            num.append((a[0] - b[0], a[1] - b[1]))
-    else:
-        sign = 1
-        for jj in range(1, r):
-            b = _entry_term(v, z, r - 1, jj, deform)
-            num.append((a[0] - b[0], a[1] - b[1]))
-    den: list[tuple[Fraction, int]] = []
-    for u in range(1, r + 1):
-        if u == s0:
-            continue
-        b = _entry_term(v, z, r, u, deform)
-        den.append((a[0] - b[0], a[1] - b[1]))
-    return rf_from_linear_factors(num, den, sign)
+    nb = r + direction  # the neighbouring row of the numerator
+    slopes = _tcoefs(v) if deform else _NO_SLOPES
+    row_m, nb_m = slopes.get(r, _NO_SLOPES), slopes.get(nb, _NO_SLOPES)
+    a = v.entry(r, s0) + z.get(r, s0)
+    ma = row_m.get(s0, 0)
+    num = [(a - (v.entry(nb, u) + z.get(nb, u)), ma - nb_m.get(u, 0)) for u in range(1, nb + 1)]
+    den = [(a - (v.entry(r, u) + z.get(r, u)), ma - row_m.get(u, 0)) for u in range(1, r + 1) if u != s0]
+    return rf_from_linear_factors(num, den, -direction)
 
 
 def _classical_terms(
@@ -242,31 +207,15 @@ def _classical_terms(
 ) -> list[tuple[Fraction, Shift]]:
     """Summands (coefficient, target shift) of the classical formula.
 
-    Exact scalar path used by the finite and generic families, where no
-    deformation is needed and no denominator may vanish.
+    The undeformed coefficients of the finite and generic families, where
+    no denominator may vanish.
     """
     if r == s:
         return [(weight_eigenvalue(v, r, z), z)]
     row, direction = _summand_spec(r, s)
     out = []
     for s0 in range(1, row + 1):
-        a = v.entry(row, s0) + z.get(row, s0)
-        coeff = Fraction(-direction)
-        if direction > 0:
-            for jj in range(1, row + 2):
-                coeff *= a - (v.entry(row + 1, jj) + z.get(row + 1, jj))
-        else:
-            for jj in range(1, row):
-                coeff *= a - (v.entry(row - 1, jj) + z.get(row - 1, jj))
-        for u in range(1, row + 1):
-            if u == s0:
-                continue
-            d = a - (v.entry(row, u) + z.get(row, u))
-            if d == 0:
-                raise DegenerateFactor(
-                    f"in-row difference at row {row} positions {s0},{u} vanishes"
-                )
-            coeff /= d
+        coeff = coeff_e(v, r, s, s0, z, deform=False).coeffs[0]  # order 0: undeformed
         if coeff:
             out.append((coeff, z.bump(row, s0, direction)))
     return out
@@ -325,11 +274,11 @@ def _singular_emissions(
     row, direction = _summand_spec(r, s)
     out = []
     for s0 in range(1, row + 1):
-        rf = coeff_e(v, r, s, s0, z, deform=True)
-        if key.kind is Kind.REGULAR:
-            rf = rf * RF_2T
+        jet = coeff_e(v, r, s, s0, z, deform=True)
+        if key.kind is Kind.REGULAR:  # times 2t
+            jet = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))
         try:
-            value, half = rf_d_pair(rf)
+            value, half = rf_d_pair(jet)
         except PoleAtZero as exc:  # pragma: no cover - contract violation
             raise PoleAtZero(
                 f"summand {s0} of E({r},{s}) not smooth at the singular point; "
@@ -428,11 +377,10 @@ def _gamma_from_entries(
 
     Each term is (e_i + r - 1)^power times the product over other entries
     of (e_i - e_j - 1)/(e_i - e_j); individual terms may have simple poles
-    at a coincident deformed pair, but the full sum is smooth and is
-    reduced exactly before evaluation.
+    at a coincident deformed pair, which cancel in the sum of their jets.
     """
     r = len(entries)
-    total = RF_ZERO
+    terms = []
     shift = Fraction(r - 1)
     for idx, (ci, mi) in enumerate(entries):
         num = [(ci + shift, mi)] * power
@@ -442,14 +390,14 @@ def _gamma_from_entries(
                 continue
             num.append((ci - cj - 1, mi - mj))
             den.append((ci - cj, mi - mj))
-        total = total + rf_from_linear_factors(num, den, 1)
-    if rf_pole_order0(total):
-        raise PoleAtZero("eigenvalue sum has a non-removable pole; entries degenerate")
-    return rf_d_pair(total)
+        terms.append(rf_from_linear_factors(num, den, 1))
+    return rf_d_pair(sum(terms[1:], terms[0]))
 
 
 def _row_entries(v: BaseVector, z: Shift, r: int) -> tuple[tuple[Fraction, int], ...]:
-    return tuple(_entry_term(v, z, r, s, True) for s in range(1, r + 1))
+    """Row r of the shifted tableau as deformed entries (c, m) = c + m t."""
+    row_m = _tcoefs(v).get(r, _NO_SLOPES)
+    return tuple((v.entry(r, s) + z.get(r, s), row_m.get(s, 0)) for s in range(1, r + 1))
 
 
 def gamma_eval(v: BaseVector, r: int, s: int, z: Shift) -> Fraction:
