@@ -25,10 +25,7 @@ from .action import (
     ModVec,
     NotStandard,
     act_e,
-    act_finite,
     act_gamma,
-    act_generic,
-    act_singular,
     apply_casimir_pbw,
     apply_e,
     coeff_e,

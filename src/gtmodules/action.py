@@ -37,9 +37,6 @@ __all__ = [
     "NotStandard",
     "ModVec",
     "coeff_e",
-    "act_finite",
-    "act_generic",
-    "act_singular",
     "act_e",
     "apply_e",
     "act_gamma",
@@ -202,120 +199,80 @@ def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift, deform: bool = Tru
     return rf_from_linear_factors(num, den, -direction)
 
 
-def _classical_terms(
-    v: BaseVector, r: int, s: int, z: Shift
-) -> list[tuple[Fraction, Shift]]:
-    """Summands (coefficient, target shift) of the classical formula.
+def _summands(
+    v: BaseVector, r: int, s: int, key: TabKey, family: Family
+) -> Iterator[tuple[int, Kind, TabKey, Fraction]]:
+    """Nonzero summands (s0, component kind, canonical target, signed
+    coefficient) of E_{rs}, |r-s| <= 1, on key; s0 is 0 for E_{rr}, and
+    family is classify(v).family, which every caller already holds.
 
-    The undeformed coefficients of the finite and generic families, where
-    no denominator may vanish.
+    The finite and generic families read the undeformed coefficient, and
+    the finite family drops targets that are not standard.  In the
+    one-singular family a regular input multiplies the t-deformed summand
+    by 2t (the vanishing singular difference) and a derivative input takes
+    it as is, smooth because the canonical derivative shift keeps the
+    singular entries apart; the half-derivative at zero then lands on the
+    regular target and the value at zero on the derivative target, which
+    are canonicalized with their sign (swap-fixed derivative targets are
+    zero).
     """
-    if r == s:
-        return [(weight_eigenvalue(v, r, z), z)]
-    row, direction = _summand_spec(r, s)
-    out = []
-    for s0 in range(1, row + 1):
-        coeff = coeff_e(v, r, s, s0, z, deform=False).coeffs[0]  # order 0: undeformed
-        if coeff:
-            out.append((coeff, z.bump(row, s0, direction)))
-    return out
-
-
-def act_finite(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
-    """Classical action on the finite standard family.
-
-    Summands whose target tableau is not standard are dropped; requesting
-    the action on a non-standard tableau raises NotStandard.
-    """
-    if classify(v).family is not Family.FINITE_STANDARD:
-        raise ValueError("base vector does not carry the finite standard family")
-    if key.kind is not Kind.REGULAR:
-        raise ValueError("finite modules have no derivative tableaux")
-    if not is_standard(v, key.shift):
-        raise NotStandard("input tableau is not standard")
-    acc: dict[TabKey, Fraction] = {}
-    for coeff, target in _classical_terms(v, r, s, key.shift):
-        if r != s and not is_standard(v, target):
-            continue
-        _add_term(acc, TabKey(target, Kind.REGULAR), coeff)
-    return ModVec(acc)
-
-
-def act_generic(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
-    """Classical action on the generic family: the full unfiltered sum."""
-    if classify(v).family is not Family.GENERIC:
-        raise ValueError("base vector is not generic")
-    if key.kind is not Kind.REGULAR:
-        raise ValueError("generic modules have no derivative tableaux")
-    acc: dict[TabKey, Fraction] = {}
-    for coeff, target in _classical_terms(v, r, s, key.shift):
-        _add_term(acc, TabKey(target, Kind.REGULAR), coeff)
-    return ModVec(acc)
-
-
-def _singular_emissions(
-    v: BaseVector, r: int, s: int, key: TabKey
-) -> list[tuple[Shift, int, Fraction, Fraction]]:
-    """Raw summand emissions (target shift, s0, T coeff, DT coeff).
-
-    For a regular input the coefficient is the t-deformed summand times 2t
-    (the vanishing singular difference); for a derivative input it is the
-    summand itself, which is smooth because the canonical derivative shift
-    keeps the singular entries apart.  In both cases the half-derivative at
-    zero lands on the regular target and the value at zero on the
-    derivative target.
-    """
+    singular = family is Family.ONE_SINGULAR
     z = key.shift
     if r == s:
-        c = weight_eigenvalue(v, r, z)
-        if key.kind is Kind.REGULAR:
-            return [(z, 0, c, _ZERO)]
-        return [(z, 0, _ZERO, c)]
-    row, direction = _summand_spec(r, s)
-    out = []
-    for s0 in range(1, row + 1):
-        jet = coeff_e(v, r, s, s0, z, deform=True)
-        if key.kind is Kind.REGULAR:  # times 2t
-            jet = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))
-        try:
-            value, half = rf_d_pair(jet)
-        except PoleAtZero as exc:  # pragma: no cover - contract violation
-            raise PoleAtZero(
-                f"summand {s0} of E({r},{s}) not smooth at the singular point; "
-                "this indicates a formula applied outside its domain"
-            ) from exc
-        out.append((z.bump(row, s0, direction), s0, half, value))
-    return out
-
-
-def act_singular(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
-    """Action of E_{rs}, |r-s| <= 1, on the one-singular family."""
-    k, i, j = singular_triple(v)
-    if key.kind is Kind.DERIVATIVE and key.shift.get(k, i) == key.shift.get(k, j):
-        raise ValueError("swap-fixed derivative labels are zero and not basis keys")
-    acc: dict[TabKey, Fraction] = {}
-    for target, _s0, coeff_t, coeff_dt in _singular_emissions(v, r, s, key):
-        if coeff_t:
-            tkey, sg = canonicalize(v, Kind.REGULAR, target)
-            _add_term(acc, tkey, sg * coeff_t)
-        if coeff_dt:
-            dkey, sg = canonicalize(v, Kind.DERIVATIVE, target)
+        raw = [(0, key.kind, z, weight_eigenvalue(v, r, z))]
+    else:
+        row, direction = _summand_spec(r, s)
+        raw = []
+        for s0 in range(1, row + 1):
+            target = z.bump(row, s0, direction)
+            jet = coeff_e(v, r, s, s0, z, deform=singular)
+            if not singular:  # undeformed: the jet is the constant coeffs[0]
+                raw.append((s0, Kind.REGULAR, target, jet.coeffs[0]))
+                continue
+            if key.kind is Kind.REGULAR:  # times 2t
+                jet = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))
+            try:
+                value, half = rf_d_pair(jet)
+            except PoleAtZero as exc:  # pragma: no cover - contract violation
+                raise PoleAtZero(
+                    f"summand {s0} of E({r},{s}) not smooth at the singular point; "
+                    "this indicates a formula applied outside its domain"
+                ) from exc
+            raw += [(s0, Kind.REGULAR, target, half), (s0, Kind.DERIVATIVE, target, value)]
+    for s0, kind, target, coeff in raw:
+        if not coeff:
+            continue
+        if singular:
+            tkey, sg = canonicalize(v, kind, target)
             if sg:
-                _add_term(acc, dkey, sg * coeff_dt)
-    return ModVec(acc)
+                yield s0, kind, tkey, -coeff if sg < 0 else coeff
+        elif family is not Family.FINITE_STANDARD or is_standard(v, target):
+            yield s0, kind, TabKey(target, kind), coeff
 
 
 @lru_cache(maxsize=None)
 def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
-    """Elementary generator action, dispatched on the module family."""
-    family = classify(v).family
-    if family is Family.FINITE_STANDARD:
-        return act_finite(v, r, s, key)
-    if family is Family.GENERIC:
-        return act_generic(v, r, s, key)
-    if family is Family.ONE_SINGULAR:
-        return act_singular(v, r, s, key)
-    raise ValueError("unsupported base vector (more than one singular pair)")
+    """Elementary generator action of E_{rs}, |r-s| <= 1, on one basis key.
+
+    Raises NotStandard for a non-standard tableau of the finite family and
+    ValueError for an unsupported vector, a derivative key outside the
+    one-singular family or a swap-fixed derivative key.
+    """
+    cls = classify(v)
+    if cls.family is Family.UNSUPPORTED:
+        raise ValueError("unsupported base vector (more than one singular pair)")
+    if key.kind is Kind.DERIVATIVE:
+        if cls.family is not Family.ONE_SINGULAR:
+            raise ValueError("derivative tableaux exist only in the one-singular family")
+        k, i, j = cls.singular
+        if key.shift.get(k, i) == key.shift.get(k, j):
+            raise ValueError("swap-fixed derivative labels are zero and not basis keys")
+    if cls.family is Family.FINITE_STANDARD and not is_standard(v, key.shift):
+        raise NotStandard("input tableau is not standard")
+    acc: dict[TabKey, Fraction] = {}
+    for _s0, _kind, tkey, coeff in _summands(v, r, s, key, cls.family):
+        _add_term(acc, tkey, coeff)
+    return ModVec(acc)
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .action import ModVec, act_gamma, apply_casimir_pbw, apply_e, gamma_eval
-from .ratcalc import rf_d_pair, rf_from_linear_factors
-from .structure import Window, basis_key, omega_drop_audit, separator
+from .ratcalc import format_rat, rf_d_pair, rf_from_linear_factors
+from .structure import Window, basis_key, key_sort_key, omega_drop_audit, separator
 from .tableau import BaseVector, Family, Kind, TabKey, classify, singular_triple
 
 __all__ = [
@@ -90,8 +90,9 @@ def check_relations(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
 
 
 def _modvec_json(vec: ModVec) -> list:
-    items = sorted(vec.items(), key=lambda kv: (kv[0].shift.rows, kv[0].kind.value))
-    return [[key.to_json(), str(coeff)] for key, coeff in items]
+    """[key, "p/q"] pairs in key order, the report form of a vector."""
+    items = sorted(vec.items(), key=lambda kv: key_sort_key(kv[0]))
+    return [[key.to_json(), format_rat(coeff)] for key, coeff in items]
 
 
 def check_gamma_coherence(

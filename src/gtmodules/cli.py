@@ -24,11 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import checks
 from .action import ModVec, act_gamma, apply_e
-from .ratcalc import format_rat
+from .checks import _modvec_json
+from .ratcalc import parse_rat
 from .structure import (
     HypothesisViolated,
     Window,
@@ -37,7 +37,6 @@ from .structure import (
     basis_N_window,
     basis_key,
     irreducibility_verdict,
-    key_sort_key,
     omega_drop_audit,
     omega_k_plus,
     omega_plus,
@@ -57,11 +56,6 @@ from .tableau import (
 
 class InputError(ValueError):
     pass
-
-
-def _modvec_json(vec: ModVec) -> list:
-    items = sorted(vec.items(), key=lambda kv: key_sort_key(kv[0]))
-    return [[key.to_json(), format_rat(coeff)] for key, coeff in items]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -96,7 +90,7 @@ def _load_base_vector(args) -> BaseVector:
                 data = json.load(fh)
         return BaseVector.from_json(data)
     if getattr(args, "anchors", None):
-        anchors = [Fraction(a) for a in args.anchors.split(",")]
+        anchors = [parse_rat(a) for a in args.anchors.split(",")]
         if not getattr(args, "assignment", None):
             raise InputError("--anchors requires --assignment")
         assignment = [_parse_int_list(row) for row in args.assignment.split(";")]
@@ -375,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("finite", help="standard basis of a finite-dimensional module")
     q.add_argument("--weight", help="dominant integral highest weight, e.g. '2,1,0'")
     q.add_argument("--top-row", help="top row entries directly, e.g. '2,0,-2'")
-    q.add_argument("--n", type=int, help="rank (informational; inferred from the weight)")
     q.add_argument("--tables", action="store_true", help="include full action tables")
     q.add_argument("--json-out")
     q.set_defaults(func=cmd_finite)

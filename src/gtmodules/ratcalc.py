@@ -33,8 +33,12 @@ class PoleAtZero(ArithmeticError):
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse an exact rational from a 'p' or 'p/q' string."""
-    return Fraction(text.strip())
+    """Parse an exact rational from a 'p' or 'p/q' string; ValueError names
+    the text when it is malformed or has a zero denominator."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
 def format_rat(x: Rat) -> str:

@@ -18,22 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .action import (
-    ModVec,
-    _classical_terms,
-    _singular_emissions,
-    act_e,
-    act_gamma,
-    gamma_dvbar,
-    gamma_eval,
-)
+from .action import ModVec, _summands, act_e, act_gamma, gamma_dvbar, gamma_eval
 from .tableau import (
     BaseVector,
     Family,
     Kind,
     Shift,
     TabKey,
-    canonicalize,
     classify,
     singular_triple,
 )
@@ -144,16 +135,11 @@ class Window:
 
 @lru_cache(maxsize=None)
 def _omega_plus_shift(v: BaseVector, w: Shift) -> frozenset[Triple]:
-    out = []
-    for r in range(2, v.n + 1):
-        for s in range(1, r + 1):
-            for t in range(1, r):
-                if v.anchor_index(r, s) != v.anchor_index(r - 1, t):
-                    continue
-                d = (v.entry(r, s) + w.get(r, s)) - (v.entry(r - 1, t) + w.get(r - 1, t))
-                if d >= 0:
-                    out.append((r, s, t))
-    return frozenset(out)
+    return frozenset(
+        (r, s, t)
+        for r, s, t in neighbor_integral_pairs(v)
+        if (v.entry(r, s) + w.get(r, s)) - (v.entry(r - 1, t) + w.get(r - 1, t)) >= 0
+    )
 
 
 def omega_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
@@ -192,14 +178,12 @@ def basis_Ik_window(v: BaseVector, key0: TabKey, win: Window) -> set[TabKey]:
     one-singular family, valid when no neighboring-row integral pair exists
     above the singular row."""
     k, _i, _j = singular_triple(v)
-    for r in range(k + 1, v.n + 1):
-        for s in range(1, r + 1):
-            for t in range(1, r):
-                if v.anchor_index(r, s) == v.anchor_index(r - 1, t):
-                    raise HypothesisViolated(
-                        f"rows {r} and {r - 1} carry an integral pair at positions "
-                        f"({r},{s}) and ({r - 1},{t})"
-                    )
+    for r, s, t in neighbor_integral_pairs(v):
+        if r > k:
+            raise HypothesisViolated(
+                f"rows {r} and {r - 1} carry an integral pair at positions "
+                f"({r},{s}) and ({r - 1},{t})"
+            )
     base = omega_k_plus(v, key0)
     return {kk for kk in win.keys(v) if omega_k_plus(v, kk) == base}
 
@@ -448,17 +432,18 @@ def _drop_config(
     comp_kind: Kind,
 ) -> str | None:
     """Match a drop-by-one emission against the five local patterns around
-    the singular row.
+    the singular row; outside the one-singular family there are none.
 
     Patterns are recognized on either singular position: the published
     displays fix one arrangement of the pair, but the swap symmetry of the
     basis produces the mirrored configurations with identical coefficient
     mechanics.
     """
-    k, i, j = singular_triple(v)
-    z = src.shift
-    if comp_kind is not Kind.REGULAR:
+    cls = classify(v)
+    if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
         return None
+    k, i, j = cls.singular
+    z = src.shift
 
     def ent(r: int, s: int) -> Fraction:
         return v.entry(r, s) + z.get(r, s)
@@ -501,56 +486,28 @@ def omega_drop_audit(v: BaseVector, win: Window) -> DropAuditReport:
     for key in win.keys(v):
         size_src = len(omega_plus(v, key))
         for r in range(1, v.n):
-            for (a, b) in ((r, r + 1), (r + 1, r)):
-                row, direction = (r, 1) if b == a + 1 else (r, -1)
-                if family is Family.GENERIC:
-                    emissions = [
-                        (target, s0 + 1, coeff, Fraction(0))
-                        for s0, (coeff, target) in enumerate(_classical_terms(v, a, b, key.shift))
-                    ]
-                else:
-                    emissions = _singular_emissions(v, a, b, key)
-                for target, s0, coeff_t, coeff_dt in emissions:
-                    for comp_kind, coeff in ((Kind.REGULAR, coeff_t), (Kind.DERIVATIVE, coeff_dt)):
-                        if not coeff:
-                            continue
-                        if family is Family.ONE_SINGULAR:
-                            tkey, sg = canonicalize(v, comp_kind, target)
-                            if sg == 0:
-                                continue
-                        else:
-                            tkey = TabKey(target, Kind.REGULAR)
-                        report.edges_scanned += 1
-                        size_tgt = len(omega_plus(v, tkey))
-                        if size_tgt >= size_src:
-                            continue
-                        edge = DropEdge(
-                            source=key,
-                            generator=f"E({a},{b})",
-                            target=tkey,
-                            source_size=size_src,
-                            target_size=size_tgt,
-                            config=None,
-                        )
-                        if size_tgt < size_src - 1:
-                            report.violations.append(edge)
-                            continue
-                        config = (
-                            _drop_config(v, key, row, direction, s0, comp_kind)
-                            if family is Family.ONE_SINGULAR
-                            else None
-                        )
-                        edge = DropEdge(
-                            source=key,
-                            generator=f"E({a},{b})",
-                            target=tkey,
-                            source_size=size_src,
-                            target_size=size_tgt,
-                            config=config,
-                        )
-                        report.drops.append(edge)
-                        if config is None:
-                            report.unclassified.append(edge)
+            for a, b, direction in ((r, r + 1, 1), (r + 1, r, -1)):
+                for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key, family):
+                    report.edges_scanned += 1
+                    size_tgt = len(omega_plus(v, tkey))
+                    if size_tgt >= size_src:
+                        continue
+                    drop_by_one = size_tgt == size_src - 1
+                    config = _drop_config(v, key, r, direction, s0, comp_kind) if drop_by_one else None
+                    edge = DropEdge(
+                        source=key,
+                        generator=f"E({a},{b})",
+                        target=tkey,
+                        source_size=size_src,
+                        target_size=size_tgt,
+                        config=config,
+                    )
+                    if not drop_by_one:
+                        report.violations.append(edge)
+                        continue
+                    report.drops.append(edge)
+                    if config is None:
+                        report.unclassified.append(edge)
     return report
 
 

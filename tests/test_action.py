@@ -6,9 +6,6 @@ from gtmodules.action import (
     ModVec,
     NotStandard,
     act_e,
-    act_finite,
-    act_generic,
-    act_singular,
     apply_e,
     coeff_e,
     weight_eigenvalue,
@@ -47,7 +44,23 @@ class TestFiniteGl2:
 
     def test_not_standard_input_rejected(self, v_fin2):
         with pytest.raises(NotStandard):
-            act_finite(v_fin2, 1, 2, key(2, [(-1,)]))
+            act_e(v_fin2, 1, 2, key(2, [(-1,)]))
+
+
+@pytest.mark.parametrize(
+    "vector, rows, kind, error, message",
+    [
+        ("v_fin2", [(0,)], Kind.DERIVATIVE, ValueError, "only in the one-singular family"),
+        ("v_gen3", [(0,), (1, 0)], Kind.DERIVATIVE, ValueError, "only in the one-singular family"),
+        ("v_fin2", [(-1,)], Kind.REGULAR, NotStandard, "not standard"),
+        ("v_rem", [(0,), (1, 1)], Kind.DERIVATIVE, ValueError, "swap-fixed"),
+        ("v_two_pairs4", [(0,), (0, 0), (0, 0, 0)], Kind.REGULAR, ValueError, "unsupported"),
+    ],
+)
+def test_act_e_validates_input(request, vector, rows, kind, error, message):
+    v = request.getfixturevalue(vector)
+    with pytest.raises(error, match=message):
+        act_e(v, 1, 2, key(v.n, rows, kind))
 
 
 class TestCoeffE:
@@ -76,15 +89,15 @@ class TestCoeffE:
 class TestGeneric:
     def test_diagonal_eigenvalue_formula(self, v_gen3):
         z = Shift(3, ((1,), (0, 2)))
-        out = act_generic(v_gen3, 2, 2, key(3, z.rows))
+        out = act_e(v_gen3, 2, 2, key(3, z.rows))
         expected = weight_eigenvalue(v_gen3, 2, z)
         assert out == ModVec.single(key(3, z.rows), expected)
 
     def test_term_counts(self, v_gen3):
         # one summand per row position; none vanish on a fully generic vector
-        assert len(act_generic(v_gen3, 2, 1, key(3, [(0,), (0, 0)]))) == 1
-        assert len(act_generic(v_gen3, 3, 2, key(3, [(0,), (0, 0)]))) == 2
-        assert len(act_generic(v_gen3, 2, 3, key(3, [(0,), (0, 0)]))) == 2
+        assert len(act_e(v_gen3, 2, 1, key(3, [(0,), (0, 0)]))) == 1
+        assert len(act_e(v_gen3, 3, 2, key(3, [(0,), (0, 0)]))) == 2
+        assert len(act_e(v_gen3, 2, 3, key(3, [(0,), (0, 0)]))) == 2
 
     def test_commutator_with_weight(self, v_gen3):
         # [E_11, E_12] = E_12, checked by brute force on a few keys
@@ -94,10 +107,6 @@ class TestGeneric:
                 v_gen3, 1, 2, apply_e(v_gen3, 1, 1, vec)
             )
             assert lhs == apply_e(v_gen3, 1, 2, vec)
-
-    def test_rejects_singular_vector(self, v_rem):
-        with pytest.raises(ValueError):
-            act_generic(v_rem, 1, 2, key(3, [(0,), (0, 0)]))
 
 
 class TestSingular:
@@ -155,7 +164,7 @@ class TestSingular:
 
     def test_swap_fixed_derivative_rejected(self, v_rem):
         with pytest.raises(ValueError):
-            act_singular(v_rem, 1, 2, key(3, [(0,), (1, 1)], Kind.DERIVATIVE))
+            act_e(v_rem, 1, 2, key(3, [(0,), (1, 1)], Kind.DERIVATIVE))
 
     def test_label_swap_equivariance(self, v_rem):
         # the regular tableau is swap-symmetric; the derivative one is
@@ -163,11 +172,11 @@ class TestSingular:
         z = Shift(3, ((1,), (-1, 2)))
         zt = tau(v_rem, z)
         for (a, b) in [(1, 2), (2, 1), (2, 3), (3, 2)]:
-            reg = act_singular(v_rem, a, b, TabKey(z, Kind.REGULAR))
-            reg_t = act_singular(v_rem, a, b, TabKey(zt, Kind.REGULAR))
+            reg = act_e(v_rem, a, b, TabKey(z, Kind.REGULAR))
+            reg_t = act_e(v_rem, a, b, TabKey(zt, Kind.REGULAR))
             assert reg == reg_t
-            der = act_singular(v_rem, a, b, TabKey(z, Kind.DERIVATIVE))
-            der_t = act_singular(v_rem, a, b, TabKey(zt, Kind.DERIVATIVE))
+            der = act_e(v_rem, a, b, TabKey(z, Kind.DERIVATIVE))
+            der_t = act_e(v_rem, a, b, TabKey(zt, Kind.DERIVATIVE))
             assert der == -der_t
 
     def test_weight_shift_by_one(self, v_rem, win3_r1):

@@ -155,6 +155,23 @@ class TestVerdictCommand:
         code, report = run_cli(capsys, "verdict", "--base-vector", GENERIC_JSON)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "vector_args",
+        [
+            ["--anchors", "1/0,1/7", "--assignment", "0,0,0;1,1;1"],
+            ["--base-vector", json.dumps({"rows": [["1/0", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]]})],
+        ],
+        ids=["anchors", "rows"],
+    )
+    def test_zero_denominator_exit_2(self, capsys, vector_args):
+        code = main(["verdict", *vector_args])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "ValueError"
+        assert "'1/0'" in report["message"]
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestVerify:
     def test_passes_on_remark_vector(self, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from gtmodules.action import ModVec, act_gamma, apply_casimir_pbw, apply_e
+from gtmodules.action import ModVec, act_e, act_gamma, apply_casimir_pbw, apply_e
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, classify, tau
 
 offsets = st.integers(min_value=-3, max_value=3)
@@ -55,15 +55,13 @@ class TestRandomSingularVectors:
     @settings(max_examples=25, deadline=None)
     @given(singular_gl3(), shifts_gl3())
     def test_swap_relations_of_raw_labels(self, v, w):
-        from gtmodules.action import act_singular
-
         wt = tau(v, w)
         for (a, b) in [(2, 3), (3, 2)]:
-            assert act_singular(v, a, b, TabKey(w, Kind.REGULAR)) == act_singular(
+            assert act_e(v, a, b, TabKey(w, Kind.REGULAR)) == act_e(
                 v, a, b, TabKey(wt, Kind.REGULAR)
             )
             if w != wt:
-                assert act_singular(v, a, b, TabKey(w, Kind.DERIVATIVE)) == -act_singular(
+                assert act_e(v, a, b, TabKey(w, Kind.DERIVATIVE)) == -act_e(
                     v, a, b, TabKey(wt, Kind.DERIVATIVE)
                 )
 

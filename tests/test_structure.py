@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtmodules.action import ModVec, act_e, act_generic
+from gtmodules.action import ModVec, act_e
 from gtmodules.structure import (
     HypothesisViolated,
     Window,
@@ -143,11 +143,11 @@ class TestReachability:
             expected = set()
             for r in range(1, 3):
                 for (a, b) in ((r, r + 1), (r + 1, r)):
-                    for t in act_generic(v_gen3, a, b, key).support():
+                    for t in act_e(v_gen3, a, b, key).support():
                         if win3_r1.contains(t.shift):
                             expected.add(t)
             for r in range(1, 4):
-                for t in act_generic(v_gen3, r, r, key).support():
+                for t in act_e(v_gen3, r, r, key).support():
                     expected.add(t)
             assert set(edges) == expected
 
@@ -184,7 +184,7 @@ class TestDropAudit:
             om = omega_plus(v_gen3_chain, key)
             for r in range(1, 3):
                 for (a, b) in ((r, r + 1), (r + 1, r)):
-                    for t in act_generic(v_gen3_chain, a, b, key).support():
+                    for t in act_e(v_gen3_chain, a, b, key).support():
                         assert omega_plus(v_gen3_chain, t) >= om
 
     def test_remark_vector_classified(self, v_rem, win3):
