@@ -27,6 +27,8 @@ def _rows(*rows):
 
 # gl(3) one-singular vector (1/2, 1/3, 1/5 | 1/7, 1/7 | 1/7)
 SINGULAR3 = _rows(["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"])
+# gl(3) irreducible one-singular vector: no neighboring-row integral pair
+SINGULAR3_IRR = _rows(["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/11"])
 # gl(3) generic vector with a cross-row anchor chain (x, ., . | x-1, . | x+1)
 GENERIC3_CHAIN = _rows(["1/7", "1/3", "1/5"], ["-6/7", "1/11"], ["8/7"])
 # gl(4) one-singular vector with entries k/19 and the pair in row 2
@@ -50,6 +52,7 @@ CASES = {
     "singular3-verify-r1": ["verify", "--radius", "1", "--base-vector", SINGULAR3],
     "singular3-structure-r2": ["structure", "--radius", "2", "--base-vector", SINGULAR3],
     "singular3-verdict-r2": ["verdict", "--radius", "2", "--base-vector", SINGULAR3],
+    "singular3-irr-verdict-r2": ["verdict", "--radius", "2", "--base-vector", SINGULAR3_IRR],
     "generic3-structure-r2": ["structure", "--radius", "2", "--base-vector", GENERIC3_CHAIN],
 }
 
