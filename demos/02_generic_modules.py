@@ -15,6 +15,7 @@ from gtmodules.structure import (
     basis_key,
     omega_plus,
     reach_closure,
+    reach_graph,
 )
 from gtmodules.tableau import BaseVector, Shift
 
@@ -41,7 +42,7 @@ def main():
     print(f"predicted submodule basis in window: {len(n_basis)} labels")
     print(f"predicted irreducible subquotient:   {len(i_basis)} labels")
 
-    closure = reach_closure(v, key, win)
+    closure = reach_closure(reach_graph(v, win), key)
     print(f"reachability closure from the center: {len(closure)} labels")
     interior_cl = {k for k in closure if win.is_interior(k.shift)}
     interior_n = {k for k in n_basis if win.is_interior(k.shift)}

@@ -46,7 +46,9 @@ from .structure import (
     omega_k_plus,
     omega_plus,
     reach_closure,
+    reach_components,
     reach_edges,
+    reach_graph,
     separator,
 )
 

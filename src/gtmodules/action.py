@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_NO_SLOPES: dict = {}
 
 
 class NotStandard(ValueError):
@@ -144,15 +143,13 @@ class ModVec:
         return "ModVec(" + " + ".join(parts) + ")"
 
 
-@lru_cache(maxsize=None)
-def _tcoefs(v: BaseVector) -> dict[int, dict[int, int]]:
-    """Slope of the deformation variable per row and position (read-only):
-    +t at (k, i), -t at (k, j), and none outside the one-singular family."""
-    cls = classify(v)
-    if cls.family is not Family.ONE_SINGULAR:
-        return _NO_SLOPES
-    k, i, j = cls.singular
-    return {k: {i: 1, j: -1}}
+def _slopes(singular: tuple[int, int, int] | None, r: int) -> list[int]:
+    """Slope of the deformation variable at each position of row r (index
+    s - 1): +t at (k, i), -t at (k, j) of the singular triple, else none."""
+    out = [0] * r
+    if singular is not None and singular[0] == r:
+        out[singular[1] - 1], out[singular[2] - 1] = 1, -1
+    return out
 
 
 def weight_eigenvalue(v: BaseVector, r: int, z: Shift) -> Fraction:
@@ -190,21 +187,18 @@ def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift, deform: bool = Tru
     if not (1 <= s0 <= r):
         raise ValueError(f"summand index {s0} out of range for row {r}")
     nb = r + direction  # the neighbouring row of the numerator
-    slopes = _tcoefs(v) if deform else _NO_SLOPES
-    row_m, nb_m = slopes.get(r, _NO_SLOPES), slopes.get(nb, _NO_SLOPES)
+    singular = v.classification.singular if deform else None
+    row_m, nb_m = _slopes(singular, r), _slopes(singular, nb)
     a = v.entry(r, s0) + z.get(r, s0)
-    ma = row_m.get(s0, 0)
-    num = [(a - (v.entry(nb, u) + z.get(nb, u)), ma - nb_m.get(u, 0)) for u in range(1, nb + 1)]
-    den = [(a - (v.entry(r, u) + z.get(r, u)), ma - row_m.get(u, 0)) for u in range(1, r + 1) if u != s0]
+    ma = row_m[s0 - 1]
+    num = [(a - (v.entry(nb, u) + z.get(nb, u)), ma - nb_m[u - 1]) for u in range(1, nb + 1)]
+    den = [(a - (v.entry(r, u) + z.get(r, u)), ma - row_m[u - 1]) for u in range(1, r + 1) if u != s0]
     return rf_from_linear_factors(num, den, -direction)
 
 
-def _summands(
-    v: BaseVector, r: int, s: int, key: TabKey, family: Family
-) -> Iterator[tuple[int, Kind, TabKey, Fraction]]:
+def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int, Kind, TabKey, Fraction]]:
     """Nonzero summands (s0, component kind, canonical target, signed
-    coefficient) of E_{rs}, |r-s| <= 1, on key; s0 is 0 for E_{rr}, and
-    family is classify(v).family, which every caller already holds.
+    coefficient) of E_{rs}, |r-s| <= 1, on key; s0 is 0 for E_{rr}.
 
     The finite and generic families read the undeformed coefficient, and
     the finite family drops targets that are not standard.  In the
@@ -216,6 +210,7 @@ def _summands(
     are canonicalized with their sign (swap-fixed derivative targets are
     zero).
     """
+    family = v.classification.family
     singular = family is Family.ONE_SINGULAR
     z = key.shift
     if r == s:
@@ -270,7 +265,7 @@ def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
     if cls.family is Family.FINITE_STANDARD and not is_standard(v, key.shift):
         raise NotStandard("input tableau is not standard")
     acc: dict[TabKey, Fraction] = {}
-    for _s0, _kind, tkey, coeff in _summands(v, r, s, key, cls.family):
+    for _s0, _kind, tkey, coeff in _summands(v, r, s, key):
         _add_term(acc, tkey, coeff)
     return ModVec(acc)
 
@@ -353,8 +348,8 @@ def _gamma_from_entries(
 
 def _row_entries(v: BaseVector, z: Shift, r: int) -> tuple[tuple[Fraction, int], ...]:
     """Row r of the shifted tableau as deformed entries (c, m) = c + m t."""
-    row_m = _tcoefs(v).get(r, _NO_SLOPES)
-    return tuple((v.entry(r, s) + z.get(r, s), row_m.get(s, 0)) for s in range(1, r + 1))
+    row_m = _slopes(v.classification.singular, r)
+    return tuple((v.entry(r, s) + z.get(r, s), row_m[s - 1]) for s in range(1, r + 1))
 
 
 def gamma_eval(v: BaseVector, r: int, s: int, z: Shift) -> Fraction:

@@ -222,20 +222,8 @@ def check_drop_bound(v: BaseVector, win: Window) -> list[dict]:
     """Triple-set size bound along generator edges, with full classification
     of drop-by-one edges; the generic family admits no drops at all."""
     report = omega_drop_audit(v, win)
-    failures = [
-        {"type": "violation", **e}
-        for e in (edge_dict(x) for x in report.violations)
-    ]
-    failures.extend({"type": "unclassified", **edge_dict(x)} for x in report.unclassified)
-    if classify(v).family is Family.GENERIC and report.drops:
-        failures.extend({"type": "generic_drop", **edge_dict(x)} for x in report.drops)
+    failures = [{"type": "violation", **e.to_json()} for e in report.violations]
+    failures.extend({"type": "unclassified", **e.to_json()} for e in report.unclassified)
+    if classify(v).family is Family.GENERIC:
+        failures.extend({"type": "generic_drop", **e.to_json()} for e in report.drops)
     return failures
-
-
-def edge_dict(e) -> dict:
-    return {
-        "source": e.source.to_json(),
-        "generator": e.generator,
-        "target": e.target.to_json(),
-        "sizes": [e.source_size, e.target_size],
-    }

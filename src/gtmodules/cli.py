@@ -42,6 +42,7 @@ from .structure import (
     omega_plus,
     reach_closure,
     reach_components,
+    reach_graph,
 )
 from .tableau import (
     BaseVector,
@@ -253,6 +254,9 @@ def cmd_structure(args) -> tuple[dict, int]:
         raise InputError("structure analysis requires a generic or one-singular vector")
     win = _window(args, v.n)
     key = _parse_key(v.n, args.key[0]) if args.key else basis_key(v, win.center)
+    graph = reach_graph(v, win)
+    if key not in graph:
+        raise InputError("focus key is not a basis key of the window")
     report: dict = {
         "command": "structure",
         "base_vector": v.to_json(),
@@ -261,10 +265,10 @@ def cmd_structure(args) -> tuple[dict, int]:
         "key": key.to_json(),
         "omega_plus": sorted(list(t) for t in omega_plus(v, key)),
     }
-    closure = reach_closure(v, key, win)
+    closure = reach_closure(graph, key)
     report["reach_closure_size"] = len(closure)
-    report["window_size"] = len(win.shifts())
-    components = reach_components(v, win)
+    report["window_size"] = len(graph)
+    components = reach_components(graph)
     report["reach_components"] = {
         "count": len(components),
         "sizes": [len(c) for c in components[:10]],
@@ -273,7 +277,7 @@ def cmd_structure(args) -> tuple[dict, int]:
         report["basis_N_window_size"] = len(basis_N_window(v, key.shift, win))
         report["basis_I_window_size"] = len(basis_I_window(v, key.shift, win))
         classes: dict[frozenset, int] = {}
-        for kk in win.keys(v):
+        for kk in graph:
             om = omega_plus(v, kk)
             classes[om] = classes.get(om, 0) + 1
         report["omega_classes"] = [

@@ -34,7 +34,10 @@ class PoleAtZero(ArithmeticError):
 
 def parse_rat(text: str) -> Rat:
     """Parse an exact rational from a 'p' or 'p/q' string; ValueError names
-    the text when it is malformed or has a zero denominator."""
+    the value when it is not a string, is malformed or has a zero
+    denominator."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational 'p/q' string, got {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

@@ -43,6 +43,7 @@ __all__ = [
     "SeparatorRecipe",
     "separator",
     "reach_edges",
+    "reach_graph",
     "reach_closure",
     "reach_components",
     "DropEdge",
@@ -128,9 +129,6 @@ class Window:
 
     def keys(self, v: BaseVector) -> list[TabKey]:
         return [basis_key(v, w) for w in self.shifts()]
-
-    def interior_keys(self, v: BaseVector) -> list[TabKey]:
-        return [basis_key(v, w) for w in self.shifts() if self.is_interior(w)]
 
 
 @lru_cache(maxsize=None)
@@ -273,17 +271,19 @@ def separator(v: BaseVector, z: Shift, w: Shift) -> SeparatorRecipe:
 
 
 def _generator_labels(n: int) -> list[tuple[int, int]]:
+    """The raising and lowering generators; the diagonal E(r,r) maps a key
+    only to itself and moves nothing."""
     gens: list[tuple[int, int]] = []
     for r in range(1, n):
         gens.append((r, r + 1))
         gens.append((r + 1, r))
-    gens.extend((r, r) for r in range(1, n + 1))
     return gens
 
 
 def reach_edges(v: BaseVector, key: TabKey, win: Window) -> dict[TabKey, str]:
-    """Window keys receiving a nonzero coefficient from one generator applied
-    to the given basis element, with the first witnessing generator.
+    """Window keys other than the given basis element that receive a nonzero
+    coefficient from one generator applied to it, with the first witnessing
+    generator.
 
     In the one-singular family the derivative-to-regular edge through the
     recentred level (k, 2) element is included; it is the only single
@@ -304,8 +304,15 @@ def reach_edges(v: BaseVector, key: TabKey, win: Window) -> dict[TabKey, str]:
     return edges
 
 
-def reach_closure(v: BaseVector, key: TabKey, win: Window) -> frozenset[TabKey]:
-    """Transitive closure of single-generator reachability inside the window.
+def reach_graph(v: BaseVector, win: Window) -> dict[TabKey, list[TabKey]]:
+    """Single-generator reachability digraph on the window keys, in window
+    order: each key maps to the targets of :func:`reach_edges`."""
+    return {key: list(reach_edges(v, key, win)) for key in win.keys(v)}
+
+
+def reach_closure(graph: dict[TabKey, list[TabKey]], key: TabKey) -> frozenset[TabKey]:
+    """Transitive closure of single-generator reachability from a window key,
+    read off the window graph.
 
     Every member is genuinely reachable by one enveloping-algebra element;
     boundary truncation can only omit keys, never add them.
@@ -315,7 +322,7 @@ def reach_closure(v: BaseVector, key: TabKey, win: Window) -> frozenset[TabKey]:
     while frontier:
         nxt = []
         for cur in frontier:
-            for tkey in reach_edges(v, cur, win):
+            for tkey in graph[cur]:
                 if tkey not in seen:
                     seen.add(tkey)
                     nxt.append(tkey)
@@ -323,15 +330,13 @@ def reach_closure(v: BaseVector, key: TabKey, win: Window) -> frozenset[TabKey]:
     return frozenset(seen)
 
 
-def reach_components(v: BaseVector, win: Window) -> list[frozenset[TabKey]]:
-    """Strongly connected components of the reachability digraph on the
-    window, largest first.
+def reach_components(graph: dict[TabKey, list[TabKey]]) -> list[frozenset[TabKey]]:
+    """Strongly connected components of the window reachability digraph,
+    largest first.
 
     Boundary keys often form singletons because their outgoing edges leave
     the window; claims should therefore be read on interior keys only.
     """
-    keys = win.keys(v)
-    graph = {k: [t for t in reach_edges(v, k, win) if t != k] for k in keys}
     index: dict[TabKey, int] = {}
     low: dict[TabKey, int] = {}
     on_stack: set[TabKey] = set()
@@ -375,7 +380,7 @@ def reach_components(v: BaseVector, win: Window) -> list[frozenset[TabKey]]:
                         break
                 components.append(frozenset(comp))
 
-    for k in keys:
+    for k in graph:
         if k not in index:
             strongconnect(k)
     return sorted(components, key=lambda c: (-len(c), min(key_sort_key(k) for k in c)))
@@ -389,6 +394,15 @@ class DropEdge:
     source_size: int
     target_size: int
     config: str | None  # one of I..V for classified drop-by-one edges
+
+    def to_json(self) -> dict:
+        return {
+            "source": self.source.to_json(),
+            "generator": self.generator,
+            "target": self.target.to_json(),
+            "sizes": [self.source_size, self.target_size],
+            "config": self.config,
+        }
 
 
 @dataclass
@@ -405,20 +419,11 @@ class DropAuditReport:
         return not self.violations and not self.unclassified
 
     def to_json(self) -> dict:
-        def edge_json(e: DropEdge) -> dict:
-            return {
-                "source": e.source.to_json(),
-                "generator": e.generator,
-                "target": e.target.to_json(),
-                "sizes": [e.source_size, e.target_size],
-                "config": e.config,
-            }
-
         return {
             "edges_scanned": self.edges_scanned,
-            "violations": [edge_json(e) for e in self.violations],
-            "drop_by_one_edges": [edge_json(e) for e in self.drops],
-            "unclassified_drops": [edge_json(e) for e in self.unclassified],
+            "violations": [e.to_json() for e in self.violations],
+            "drop_by_one_edges": [e.to_json() for e in self.drops],
+            "unclassified_drops": [e.to_json() for e in self.unclassified],
             "ok": self.ok,
         }
 
@@ -479,15 +484,14 @@ def omega_drop_audit(v: BaseVector, win: Window) -> DropAuditReport:
     come back empty for the audit to pass (the generic family admits no
     decrease at all).
     """
-    family = classify(v).family
-    if family not in (Family.GENERIC, Family.ONE_SINGULAR):
+    if classify(v).family not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise ValueError("audit requires a generic or one-singular vector")
     report = DropAuditReport(vector=v, window=win)
     for key in win.keys(v):
         size_src = len(omega_plus(v, key))
         for r in range(1, v.n):
             for a, b, direction in ((r, r + 1, 1), (r + 1, r, -1)):
-                for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key, family):
+                for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key):
                     report.edges_scanned += 1
                     size_tgt = len(omega_plus(v, tkey))
                     if size_tgt >= size_src:
@@ -560,35 +564,26 @@ def irreducibility_verdict(v: BaseVector, win: Window) -> Verdict:
     """
     singular_triple(v)
     pairs = neighbor_integral_pairs(v)
+    graph = reach_graph(v, win)
+    interior = [k for k in graph if win.is_interior(k.shift)]
     if not pairs:
-        start = basis_key(v, win.center)
-        closure = reach_closure(v, start, win)
-        interior = set(win.interior_keys(v))
+        closure = reach_closure(graph, basis_key(v, win.center))
         return Verdict(
             status="irreducible",
             neighbor_integral_pairs=(),
-            interior_covered=interior <= closure,
+            interior_covered=set(interior) <= closure,
             closure_size=len(closure),
-            window_size=len(win.shifts()),
+            window_size=len(graph),
         )
-    shifts = win.shifts()
-    best_size = max(len(omega_plus(v, w)) for w in shifts)
-    witness = min(
-        (w for w in shifts if len(omega_plus(v, w)) == best_size),
-        key=lambda w: w.rows,
-    )
-    wkey = basis_key(v, witness)
-    closure = reach_closure(v, wkey, win)
-    omitted = sorted(
-        (k for k in win.interior_keys(v) if k not in closure),
-        key=key_sort_key,
-    )
+    witness = min(graph, key=lambda k: (-len(omega_plus(v, k)), k.shift.rows))
+    closure = reach_closure(graph, witness)
+    omitted = sorted((k for k in interior if k not in closure), key=key_sort_key)
     return Verdict(
         status="reducible",
         neighbor_integral_pairs=pairs,
-        witness=witness,
+        witness=witness.shift,
         witness_omega_size=len(omega_plus(v, witness)),
         closure_size=len(closure),
-        window_size=len(shifts),
+        window_size=len(graph),
         omitted_interior=tuple(omitted),
     )

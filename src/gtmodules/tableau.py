@@ -17,9 +17,8 @@ folded into :func:`canonicalize`, so only canonical labels circulate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .ratcalc import format_rat, parse_rat
@@ -165,12 +164,16 @@ class BaseVector:
     Within any row below the top, two positions may share an anchor only
     with equal offsets (the normalized singular configuration); the general
     integral pair is reached by shifting the basis label instead.
+
+    The family the vector supports is decided once, on construction, and
+    kept in ``classification`` (see :func:`classify`).
     """
 
     n: int
     anchors: tuple[Fraction, ...]
     assignment: tuple[tuple[int, ...], ...]
     offsets: tuple[tuple[int, ...], ...]
+    classification: Classification = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (2 <= self.n <= N_CAP):
@@ -187,9 +190,12 @@ class BaseVector:
             for a in row:
                 if not (0 <= a < len(self.anchors)):
                     raise ValueError("anchor index out of range")
-        if len(set(a for row in self.assignment for a in row)) > 1:
+        if len(set(a for row in self.assignment for a in row)) == 1:
+            cls = Classification(Family.FINITE_STANDARD)
+        else:
             # Mixed anchors: same-row anchor sharing below the top row is
             # only supported in the normalized form with equal entries.
+            pairs = []
             for r in range(1, self.n):
                 row = self.assignment[r - 1]
                 offs = self.offsets[r - 1]
@@ -200,6 +206,15 @@ class BaseVector:
                                 f"row {r} positions {s + 1},{u + 1} differ by a nonzero "
                                 "integer; normalize to equal entries and shift the key"
                             )
+                        if row[s] == row[u]:
+                            pairs.append((r, s + 1, u + 1))
+            if not pairs:
+                cls = Classification(Family.GENERIC)
+            elif len(pairs) == 1:
+                cls = Classification(Family.ONE_SINGULAR, pairs[0])
+            else:
+                cls = Classification(Family.UNSUPPORTED)
+        object.__setattr__(self, "classification", cls)
 
     def entry(self, r: int, s: int) -> Fraction:
         return self.anchors[self.assignment[r - 1][s - 1]] + self.offsets[r - 1][s - 1]
@@ -273,40 +288,33 @@ class BaseVector:
 
     @classmethod
     def from_json(cls, data) -> "BaseVector":
+        """Rationals are "p/q" strings and indices and offsets integers; any
+        other JSON value raises ValueError naming it."""
         if "rows" in data:
-            return cls.from_rows(data["rows"])
-        n = int(data["n"])
+            return cls.from_rows([[parse_rat(x) for x in row] for row in data["rows"]])
+        n = _json_int(data["n"])
         anchors = tuple(parse_rat(a) for a in data["anchors"])
-        assignment = tuple(tuple(int(x) for x in row) for row in reversed(data["assignment"]))
-        offsets = tuple(tuple(int(x) for x in row) for row in reversed(data["offsets"]))
+        assignment = tuple(tuple(_json_int(x) for x in row) for row in reversed(data["assignment"]))
+        offsets = tuple(tuple(_json_int(x) for x in row) for row in reversed(data["offsets"]))
         return cls(n, anchors, assignment, offsets)
 
 
-@lru_cache(maxsize=None)
+def _json_int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def classify(v: BaseVector) -> Classification:
-    """Decide which module family the base vector supports.
+    """Which module family the base vector supports, as decided when it was
+    built.
 
     A single anchor shared by every position gives the finite standard
     family.  Otherwise the count of same-anchor pairs inside rows 1..n-1
     decides: zero pairs is generic, exactly one is one-singular at (k, i, j),
     and two or more is unsupported.
     """
-    used = set(a for row in v.assignment for a in row)
-    if len(used) == 1:
-        return Classification(Family.FINITE_STANDARD)
-    pairs = []
-    for r in range(1, v.n):
-        row = v.assignment[r - 1]
-        for s in range(1, r + 1):
-            for u in range(s + 1, r + 1):
-                if row[s - 1] == row[u - 1]:
-                    pairs.append((r, s, u))
-    if not pairs:
-        return Classification(Family.GENERIC)
-    if len(pairs) == 1:
-        k, i, j = pairs[0]
-        return Classification(Family.ONE_SINGULAR, (k, i, j))
-    return Classification(Family.UNSUPPORTED)
+    return v.classification
 
 
 def singular_triple(v: BaseVector) -> tuple[int, int, int]:

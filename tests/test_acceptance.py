@@ -31,7 +31,8 @@ from gtmodules.structure import (
     omega_drop_audit,
     omega_k_plus,
     omega_plus,
-    reach_edges,
+    reach_closure,
+    reach_graph,
 )
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize, tau
 
@@ -52,25 +53,6 @@ def weyl_dimension(weight) -> int:
             den *= j - i
     assert num % den == 0
     return num // den
-
-
-def window_graph(v, win):
-    keys = win.keys(v)
-    return keys, {k: list(reach_edges(v, k, win)) for k in keys}
-
-
-def graph_closure(graph, start):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for t in graph[cur]:
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen
 
 
 def test_criterion_1_finite_correctness():
@@ -185,10 +167,10 @@ def test_criterion_6_omega_drop_bound(v_gen3_chain, v_rem, win3):
 
 def test_criterion_7_subquotient_bases(v_gen3_chain, v_rem, win3):
     # generic: closure equals the predicted submodule basis on the interior
-    keys, graph = window_graph(v_gen3_chain, win3)
-    interior = [k for k in keys if win3.is_interior(k.shift)]
+    graph = reach_graph(v_gen3_chain, win3)
+    interior = [k for k in graph if win3.is_interior(k.shift)]
     for key in interior:
-        closure = graph_closure(graph, key)
+        closure = reach_closure(graph, key)
         cl_int = {t for t in closure if win3.is_interior(t.shift)}
         n_int = {t for t in basis_N_window(v_gen3_chain, key.shift, win3) if win3.is_interior(t.shift)}
         assert cl_int == n_int
@@ -196,12 +178,12 @@ def test_criterion_7_subquotient_bases(v_gen3_chain, v_rem, win3):
         assert i_int <= cl_int
     # singular satisfying the restricted-basis hypothesis: interior classes
     # are strongly connected
-    keys_s, graph_s = window_graph(v_rem, win3)
-    interior_s = [k for k in keys_s if win3.is_interior(k.shift)]
+    graph_s = reach_graph(v_rem, win3)
+    interior_s = [k for k in graph_s if win3.is_interior(k.shift)]
     classes = defaultdict(list)
     for k in interior_s:
         classes[omega_k_plus(v_rem, k)].append(k)
-    closures = {k: graph_closure(graph_s, k) for k in interior_s}
+    closures = {k: reach_closure(graph_s, k) for k in interior_s}
     for members in classes.values():
         for k1 in members:
             for k2 in members:
@@ -258,10 +240,10 @@ def test_criterion_8_irreducibility_verdicts(win3):
         verdict = irreducibility_verdict(v, win3)
         assert verdict.status == "irreducible"
         assert verdict.neighbor_integral_pairs == ()
-        keys, graph = window_graph(v, win3)
-        interior = [k for k in keys if win3.is_interior(k.shift)]
+        graph = reach_graph(v, win3)
+        interior = [k for k in graph if win3.is_interior(k.shift)]
         for key in interior:
-            closure = graph_closure(graph, key)
+            closure = reach_closure(graph, key)
             assert set(interior) <= closure
     # the audited omission sits past the alignment locus, so the reducible
     # direction is checked on a window wide enough to contain it

@@ -344,3 +344,25 @@ class TestCanonicalMerging:
         for t, c in out.items():
             k2, sign = canonicalize(v_rem, t.kind, t.shift)
             assert k2 == t and sign == 1
+
+
+def test_functools_caches_are_the_known_four():
+    # every functools cache bound at module level anywhere in the package;
+    # a new one has to be added here on purpose
+    import importlib
+    import pkgutil
+
+    import gtmodules
+
+    found = set()
+    for info in pkgutil.iter_modules(gtmodules.__path__):
+        module = importlib.import_module(f"gtmodules.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                found.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert found == {
+        "gtmodules.action.act_e",
+        "gtmodules.action._apply_e_key",
+        "gtmodules.action._gamma_from_entries",
+        "gtmodules.structure._omega_plus_shift",
+    }

@@ -114,6 +114,13 @@ class TestStructureCommand:
         assert report["window_size"] == 125
         assert report["reach_components"]["count"] >= 2
 
+    def test_focus_key_outside_window_rejected(self, capsys):
+        code, report = run_cli(
+            capsys, "structure", "--base-vector", REMARK_JSON, "--radius", "1", "--key", "T@3,3;3"
+        )
+        assert code == 2
+        assert "not a basis key of the window" in report["message"]
+
     def test_finite_vector_rejected(self, capsys):
         finite = json.dumps({"rows": [["2", "0", "-2"], ["0", "0"], ["0"]]})
         code, report = run_cli(capsys, "structure", "--base-vector", finite)
@@ -170,6 +177,37 @@ class TestVerdictCommand:
         report = json.loads(captured.out)
         assert report["error"] == "ValueError"
         assert "'1/0'" in report["message"]
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "field,row,col,value,shown",
+        [
+            ("anchors", None, 3, 1, "got 1"),
+            ("anchors", None, 3, None, "got None"),
+            ("rows", 0, 0, 0.1, "got 0.1"),
+            ("rows", 2, 0, None, "got None"),
+            ("assignment", 1, 1, None, "got None"),
+            ("offsets", 0, 2, None, "got None"),
+        ],
+        ids=["anchors-number", "anchors-null", "rows-number", "rows-null", "assignment-null", "offsets-null"],
+    )
+    def test_non_string_rational_exit_2(self, capsys, field, row, col, value, shown):
+        # JSON rationals are "p/q" strings; a number or null is malformed
+        # input, never a float reading or a traceback
+        data = json.loads(REMARK_JSON) if field == "rows" else {
+            "n": 3,
+            "anchors": ["1/2", "1/3", "1/5", "1/7"],
+            "assignment": [[0, 1, 2], [3, 3], [3]],
+            "offsets": [[0, 0, 0], [0, 0], [0]],
+        }
+        target = data[field] if row is None else data[field][row]
+        target[col] = value
+        code = main(["verdict", "--base-vector", json.dumps(data)])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "ValueError"
+        assert shown in report["message"]
         assert "Traceback" not in captured.out + captured.err
 
 

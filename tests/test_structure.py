@@ -16,7 +16,9 @@ from gtmodules.structure import (
     omega_k_plus,
     omega_plus,
     reach_closure,
+    reach_components,
     reach_edges,
+    reach_graph,
 )
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, tau
 
@@ -137,6 +139,19 @@ class TestReachability:
         out = act_e(v_rem, 2, 2, key)
         assert set(out.support()) <= {key}
 
+    @pytest.mark.parametrize("vector", ["v_gen3", "v_rem"])
+    def test_edges_never_return_source(self, request, vector, win3_r1):
+        # generic keys, and regular and derivative one-singular keys, whose
+        # C(k,2) edge recentres at the source and so annihilates it
+        v = request.getfixturevalue(vector)
+        labels = set()
+        for key in win3_r1.keys(v):
+            edges = reach_edges(v, key, win3_r1)
+            assert key not in edges
+            labels.update(edges.values())
+        if vector == "v_rem":
+            assert "C(2,2)" in labels
+
     def test_generic_edges_match_action_support(self, v_gen3, win3_r1):
         for key in win3_r1.keys(v_gen3)[:9]:
             edges = reach_edges(v_gen3, key, win3_r1)
@@ -146,17 +161,15 @@ class TestReachability:
                     for t in act_e(v_gen3, a, b, key).support():
                         if win3_r1.contains(t.shift):
                             expected.add(t)
-            for r in range(1, 4):
-                for t in act_e(v_gen3, r, r, key).support():
-                    expected.add(t)
             assert set(edges) == expected
 
     def test_closure_reflexive_and_transitive(self, v_rem, win3_r1):
         key = basis_key(v_rem, Shift.zero(3))
-        closure = reach_closure(v_rem, key, win3_r1)
+        graph = reach_graph(v_rem, win3_r1)
+        closure = reach_closure(graph, key)
         assert key in closure
         for mid in list(closure)[:6]:
-            assert reach_closure(v_rem, mid, win3_r1) <= closure
+            assert reach_closure(graph, mid) <= closure
 
     def test_generic_class_strongly_connected(self, v_gen3_chain, win3):
         # inside an equality class fully interior to the window, every member
@@ -166,8 +179,9 @@ class TestReachability:
         for k in interior:
             classes[omega_plus(v_gen3_chain, k)].append(k)
         om, members = max(classes.items(), key=lambda kv: len(kv[1]))
+        graph = reach_graph(v_gen3_chain, win3)
         for k1 in members[:4]:
-            closure = reach_closure(v_gen3_chain, k1, win3)
+            closure = reach_closure(graph, k1)
             assert all(k2 in closure for k2 in members)
 
 
@@ -318,17 +332,16 @@ class TestTopPartLemma:
         )
         assert len(same_top) == 27
         probe = same_top[::7]
+        graph = reach_graph(v_sing4, win)
         for k1 in probe:
-            closure = reach_closure(v_sing4, k1, win)
+            closure = reach_closure(graph, k1)
             for k2 in probe:
                 assert k2 in closure
 
 
 class TestReachComponents:
     def test_single_interior_component_when_clean(self, v_sing_irr, win3):
-        from gtmodules.structure import reach_components
-
-        comps = reach_components(v_sing_irr, win3)
+        comps = reach_components(reach_graph(v_sing_irr, win3))
         interior = set(k for k in win3.keys(v_sing_irr) if win3.is_interior(k.shift))
         int_comps = [c & interior for c in comps if c & interior]
         assert len(int_comps) == 1 and len(int_comps[0]) == len(interior)
@@ -337,9 +350,7 @@ class TestReachComponents:
         # mutual generation can merge distinct restricted classes (a
         # derivative-boundary round trip links them both ways), but never
         # splits one: each class sits inside a single component
-        from gtmodules.structure import reach_components
-
-        comps = reach_components(v_rem, win3)
+        comps = reach_components(reach_graph(v_rem, win3))
         interior = [k for k in win3.keys(v_rem) if win3.is_interior(k.shift)]
         classes = defaultdict(set)
         for k in interior:
@@ -353,10 +364,8 @@ class TestReachComponents:
     def test_witness_closure_omits_downstream_component(self, v_rem, win3):
         # the generated submodule covers exactly one interior component; the
         # other is only upstream of it and survives in the quotient
-        from gtmodules.structure import reach_components
-
         verdict = irreducibility_verdict(v_rem, win3)
-        comps = reach_components(v_rem, win3)
+        comps = reach_components(reach_graph(v_rem, win3))
         interior = set(k for k in win3.keys(v_rem) if win3.is_interior(k.shift))
         witness_key = basis_key(v_rem, verdict.witness)
         containing = next(c for c in comps if witness_key in c)
