@@ -256,7 +256,7 @@ def cmd_structure(args) -> tuple[dict, int]:
     key = _parse_key(v.n, args.key[0]) if args.key else basis_key(v, win.center)
     graph = reach_graph(v, win)
     if key not in graph:
-        raise InputError("focus key is not a basis key of the window")
+        raise InputError("--key is not a basis key of the window")
     report: dict = {
         "command": "structure",
         "base_vector": v.to_json(),
