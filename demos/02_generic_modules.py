@@ -37,8 +37,8 @@ def main():
     print(f"\nwindow: {len(win.shifts())} labels, radius {win.radius}")
     om = omega_plus(v, key)
     print("triple set of the center:", sorted(om))
-    n_basis = basis_N_window(v, key.shift, win)
-    i_basis = basis_I_window(v, key.shift, win)
+    n_basis = basis_N_window(v, key.shift, win.keys(v))
+    i_basis = basis_I_window(v, key.shift, win.keys(v))
     print(f"predicted submodule basis in window: {len(n_basis)} labels")
     print(f"predicted irreducible subquotient:   {len(i_basis)} labels")
 

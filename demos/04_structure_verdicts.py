@@ -26,7 +26,7 @@ def main():
     win = Window(center=Shift.zero(3), radius=2, margin=1)
 
     print("=== triple-set drop audit (reducible vector) ===")
-    audit = omega_drop_audit(v_red, win)
+    audit = omega_drop_audit(v_red, win.keys(v_red))
     print(f"edges scanned: {audit.edges_scanned}")
     print(f"violations: {len(audit.violations)}  unclassified: {len(audit.unclassified)}")
     print("drop-by-one configurations:", dict(Counter(e.config for e in audit.drops)))

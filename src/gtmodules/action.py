@@ -295,8 +295,10 @@ def apply_e(v: BaseVector, i: int, j: int, vec: ModVec) -> ModVec:
     """Action of any matrix unit E_ij, extended linearly to combinations.
 
     For |i-j| >= 2 the action is the recursive commutator through the fixed
-    intermediate index min(i, j) + 1.
+    intermediate index min(i, j) + 1.  Indices outside 1..n raise ValueError.
     """
+    if not (1 <= i <= v.n and 1 <= j <= v.n):
+        raise ValueError(f"E({i},{j}) needs indices in 1..{v.n}")
     return _apply_vec(v, i, j, vec)
 
 

@@ -221,7 +221,7 @@ def check_separation(
 def check_drop_bound(v: BaseVector, win: Window) -> list[dict]:
     """Triple-set size bound along generator edges, with full classification
     of drop-by-one edges; the generic family admits no drops at all."""
-    report = omega_drop_audit(v, win)
+    report = omega_drop_audit(v, win.keys(v))
     failures = [{"type": "violation", **e.to_json()} for e in report.violations]
     failures.extend({"type": "unclassified", **e.to_json()} for e in report.unclassified)
     if classify(v).family is Family.GENERIC:

@@ -32,6 +32,7 @@ from .ratcalc import parse_rat
 from .structure import (
     HypothesisViolated,
     Window,
+    _clear_memo_caches,
     basis_I_window,
     basis_Ik_window,
     basis_N_window,
@@ -195,6 +196,8 @@ def _parse_generator(n: int, text: str):
     if head in ("E", "c") and len(indices) == 2:
         if shift_text is not None:
             raise InputError(f"{head}(i,j) takes no shift argument: {text!r}")
+        if head == "E" and not all(1 <= x <= n for x in indices):
+            raise InputError(f"--apply {text!r}: generator indices must lie in 1..{n}")
         return (head, indices[0], indices[1], None)
     if head == "C" and len(indices) == 2:
         if shift_text is None:
@@ -273,9 +276,10 @@ def cmd_structure(args) -> tuple[dict, int]:
         "count": len(components),
         "sizes": [len(c) for c in components[:10]],
     }
+    keys = list(graph)
     if fam is Family.GENERIC:
-        report["basis_N_window_size"] = len(basis_N_window(v, key.shift, win))
-        report["basis_I_window_size"] = len(basis_I_window(v, key.shift, win))
+        report["basis_N_window_size"] = len(basis_N_window(v, key.shift, keys))
+        report["basis_I_window_size"] = len(basis_I_window(v, key.shift, keys))
         classes: dict[frozenset, int] = {}
         for kk in graph:
             om = omega_plus(v, kk)
@@ -289,10 +293,10 @@ def cmd_structure(args) -> tuple[dict, int]:
         report["singular"] = [k, i, j]
         report["omega_k_plus"] = sorted(list(t) for t in omega_k_plus(v, key))
         try:
-            report["basis_Ik_window_size"] = len(basis_Ik_window(v, key, win))
+            report["basis_Ik_window_size"] = len(basis_Ik_window(v, key, keys))
         except HypothesisViolated as exc:
             report["basis_Ik_window_error"] = str(exc)
-        audit = omega_drop_audit(v, win)
+        audit = omega_drop_audit(v, keys)
         report["drop_audit"] = audit.to_json()
     return report, 0
 
@@ -407,6 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Memo entries are keyed on one command's base vector.  Emptying them on
+    # entry, not on exit, holds a long-lived caller to one command's entries
+    # and leaves the last command's hit and miss counts readable.
+    _clear_memo_caches()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,7 +18,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .action import ModVec, _summands, act_e, act_gamma, gamma_dvbar, gamma_eval
+from .action import (
+    ModVec,
+    _apply_e_key,
+    _gamma_from_entries,
+    _summands,
+    act_e,
+    act_gamma,
+    gamma_dvbar,
+    gamma_eval,
+)
 from .tableau import (
     BaseVector,
     Family,
@@ -140,6 +149,19 @@ def _omega_plus_shift(v: BaseVector, w: Shift) -> frozenset[Triple]:
     )
 
 
+# Every module-level memo cache of the package.  All are keyed on values of
+# one base vector, so the CLI empties them before each command.  The tuple
+# holds the cache objects themselves: a wrapper rebound over a module name
+# later (a tracer, a mock) must not hide a cache from the reset.
+_MEMO_CACHES = (act_e, _apply_e_key, _gamma_from_entries, _omega_plus_shift)
+
+
+def _clear_memo_caches() -> None:
+    """Empty every memo cache; this also resets its hit and miss counts."""
+    for cache in _MEMO_CACHES:
+        cache.cache_clear()
+
+
 def omega_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
     """Triples (r, s, t) whose row-r entry exceeds the row-(r-1) entry by a
     non-negative integer; anchor equality decides integrality exactly."""
@@ -153,28 +175,29 @@ def omega_k_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
     return frozenset(t for t in omega_plus(v, key) if t[0] <= k)
 
 
-def basis_N_window(v: BaseVector, w0: Shift, win: Window) -> set[TabKey]:
+def basis_N_window(v: BaseVector, w0: Shift, keys: list[TabKey]) -> set[TabKey]:
     """Window part of the predicted basis of the submodule generated by the
-    tableau at w0 (generic family): keys whose triple set contains that of w0."""
+    tableau at w0 (generic family): the window keys whose triple set
+    contains that of w0."""
     if classify(v).family is not Family.GENERIC:
         raise ValueError("submodule basis prediction requires a generic vector")
     base = omega_plus(v, w0)
-    return {k for k in win.keys(v) if base <= omega_plus(v, k)}
+    return {k for k in keys if base <= omega_plus(v, k)}
 
 
-def basis_I_window(v: BaseVector, w0: Shift, win: Window) -> set[TabKey]:
+def basis_I_window(v: BaseVector, w0: Shift, keys: list[TabKey]) -> set[TabKey]:
     """Window part of the predicted irreducible subquotient basis (generic
-    family): keys with triple set equal to that of w0."""
+    family): the window keys with triple set equal to that of w0."""
     if classify(v).family is not Family.GENERIC:
         raise ValueError("subquotient basis prediction requires a generic vector")
     base = omega_plus(v, w0)
-    return {k for k in win.keys(v) if omega_plus(v, k) == base}
+    return {k for k in keys if omega_plus(v, k) == base}
 
 
-def basis_Ik_window(v: BaseVector, key0: TabKey, win: Window) -> set[TabKey]:
+def basis_Ik_window(v: BaseVector, key0: TabKey, keys: list[TabKey]) -> set[TabKey]:
     """Window part of the irreducible subquotient basis through key0 in the
-    one-singular family, valid when no neighboring-row integral pair exists
-    above the singular row."""
+    one-singular family, among the given window keys; valid when no
+    neighboring-row integral pair exists above the singular row."""
     k, _i, _j = singular_triple(v)
     for r, s, t in neighbor_integral_pairs(v):
         if r > k:
@@ -183,7 +206,7 @@ def basis_Ik_window(v: BaseVector, key0: TabKey, win: Window) -> set[TabKey]:
                 f"({r},{s}) and ({r - 1},{t})"
             )
     base = omega_k_plus(v, key0)
-    return {kk for kk in win.keys(v) if omega_k_plus(v, kk) == base}
+    return {kk for kk in keys if omega_k_plus(v, kk) == base}
 
 
 @dataclass(frozen=True)
@@ -408,7 +431,6 @@ class DropEdge:
 @dataclass
 class DropAuditReport:
     vector: BaseVector
-    window: Window
     edges_scanned: int = 0
     violations: list[DropEdge] = field(default_factory=list)
     drops: list[DropEdge] = field(default_factory=list)
@@ -475,9 +497,9 @@ def _drop_config(
     return None
 
 
-def omega_drop_audit(v: BaseVector, win: Window) -> DropAuditReport:
-    """Scan every single-generator edge out of the window and check the
-    triple-set size bound.
+def omega_drop_audit(v: BaseVector, keys: list[TabKey]) -> DropAuditReport:
+    """Scan every single-generator edge out of the given window keys and
+    check the triple-set size bound.
 
     A size decrease of two or more is a violation; a decrease of exactly
     one must match one of the five local configurations.  Both lists must
@@ -486,8 +508,8 @@ def omega_drop_audit(v: BaseVector, win: Window) -> DropAuditReport:
     """
     if classify(v).family not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise ValueError("audit requires a generic or one-singular vector")
-    report = DropAuditReport(vector=v, window=win)
-    for key in win.keys(v):
+    report = DropAuditReport(vector=v)
+    for key in keys:
         size_src = len(omega_plus(v, key))
         for r in range(1, v.n):
             for a, b, direction in ((r, r + 1, 1), (r + 1, r, -1)):

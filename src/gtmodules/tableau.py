@@ -288,15 +288,32 @@ class BaseVector:
 
     @classmethod
     def from_json(cls, data) -> "BaseVector":
-        """Rationals are "p/q" strings and indices and offsets integers; any
-        other JSON value raises ValueError naming it."""
+        """A JSON object whose rationals are "p/q" strings, indices and
+        offsets integers, and rows lists; any other JSON value raises
+        ValueError naming it or its field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a base vector must be a JSON object, got {type(data).__name__}")
         if "rows" in data:
-            return cls.from_rows([[parse_rat(x) for x in row] for row in data["rows"]])
+            rows = _json_list(data, "rows", nested=True)
+            return cls.from_rows([[parse_rat(x) for x in row] for row in rows])
         n = _json_int(data["n"])
-        anchors = tuple(parse_rat(a) for a in data["anchors"])
-        assignment = tuple(tuple(_json_int(x) for x in row) for row in reversed(data["assignment"]))
-        offsets = tuple(tuple(_json_int(x) for x in row) for row in reversed(data["offsets"]))
+        anchors = tuple(parse_rat(a) for a in _json_list(data, "anchors"))
+        assignment = tuple(
+            tuple(_json_int(x) for x in row) for row in reversed(_json_list(data, "assignment", nested=True))
+        )
+        offsets = tuple(
+            tuple(_json_int(x) for x in row) for row in reversed(_json_list(data, "offsets", nested=True))
+        )
         return cls(n, anchors, assignment, offsets)
+
+
+def _json_list(data: dict, name: str, nested: bool = False) -> list:
+    """data[name] as a JSON array, of arrays when nested."""
+    value = data[name]
+    if not isinstance(value, list) or nested and not all(isinstance(row, list) for row in value):
+        shape = "a list of lists" if nested else "a list"
+        raise ValueError(f"base vector field {name!r} must be {shape}, got {value!r}")
+    return value
 
 
 def _json_int(x) -> int:

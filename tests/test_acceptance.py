@@ -146,10 +146,10 @@ def test_criterion_5_separation_suite(v_rem, win3_r1):
 
 
 def test_criterion_6_omega_drop_bound(v_gen3_chain, v_rem, win3):
-    rep_gen = omega_drop_audit(v_gen3_chain, win3)
+    rep_gen = omega_drop_audit(v_gen3_chain, win3.keys(v_gen3_chain))
     assert rep_gen.ok
     assert rep_gen.drops == []
-    rep_sing = omega_drop_audit(v_rem, win3)
+    rep_sing = omega_drop_audit(v_rem, win3.keys(v_rem))
     assert rep_sing.ok
     assert rep_sing.violations == [] and rep_sing.unclassified == []
     assert all(e.config in {"I", "II", "III", "IV", "V"} for e in rep_sing.drops)
@@ -172,9 +172,9 @@ def test_criterion_7_subquotient_bases(v_gen3_chain, v_rem, win3):
     for key in interior:
         closure = reach_closure(graph, key)
         cl_int = {t for t in closure if win3.is_interior(t.shift)}
-        n_int = {t for t in basis_N_window(v_gen3_chain, key.shift, win3) if win3.is_interior(t.shift)}
+        n_int = {t for t in basis_N_window(v_gen3_chain, key.shift, list(graph)) if win3.is_interior(t.shift)}
         assert cl_int == n_int
-        i_int = {t for t in basis_I_window(v_gen3_chain, key.shift, win3) if win3.is_interior(t.shift)}
+        i_int = {t for t in basis_I_window(v_gen3_chain, key.shift, list(graph)) if win3.is_interior(t.shift)}
         assert i_int <= cl_int
     # singular satisfying the restricted-basis hypothesis: interior classes
     # are strongly connected
@@ -190,7 +190,7 @@ def test_criterion_7_subquotient_bases(v_gen3_chain, v_rem, win3):
                 assert k2 in closures[k1]
     # and the window prediction agrees with the class partition
     for k in interior_s:
-        cls = basis_Ik_window(v_rem, k, win3)
+        cls = basis_Ik_window(v_rem, k, list(graph_s))
         assert {t for t in cls if win3.is_interior(t.shift)} == set(
             classes[omega_k_plus(v_rem, k)]
         )

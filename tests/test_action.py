@@ -63,6 +63,12 @@ def test_act_e_validates_input(request, vector, rows, kind, error, message):
         act_e(v, 1, 2, key(v.n, rows, kind))
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 0), (4, 4), (1, 4)])
+def test_apply_e_rejects_indices_outside_1_to_n(v_rem, i, j):
+    with pytest.raises(ValueError, match=r"indices in 1\.\.3"):
+        apply_e(v_rem, i, j, single(3, [(0,), (0, 0)]))
+
+
 class TestCoeffE:
     def test_gl2_raising_coefficient(self, v_fin2):
         # top row (1, -1), entry 0: -(0-1)(0+1) = 1
@@ -353,6 +359,7 @@ def test_functools_caches_are_the_known_four():
     import pkgutil
 
     import gtmodules
+    from gtmodules.structure import _MEMO_CACHES
 
     found = set()
     for info in pkgutil.iter_modules(gtmodules.__path__):
@@ -360,9 +367,13 @@ def test_functools_caches_are_the_known_four():
         for obj in vars(module).values():
             if hasattr(obj, "cache_info"):
                 found.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert found == {
+    known = {
         "gtmodules.action.act_e",
         "gtmodules.action._apply_e_key",
         "gtmodules.action._gamma_from_entries",
         "gtmodules.structure._omega_plus_shift",
     }
+    assert found == known
+    # the CLI empties exactly these before each command
+    assert len(_MEMO_CACHES) == len(known)
+    assert {f"{c.__module__}.{c.__qualname__}" for c in _MEMO_CACHES} == known

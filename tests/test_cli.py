@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from gtmodules.action import _gamma_from_entries, _row_entries, act_e
 from gtmodules.cli import main
+from gtmodules.structure import _MEMO_CACHES, _omega_plus_shift, basis_key
+from gtmodules.tableau import BaseVector, Shift
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +104,16 @@ class TestApplyCommands:
         )
         assert code == 0
         assert len(report["results"][0]["result"]) == 1
+
+    @pytest.mark.parametrize("generator", ["E(0,1)", "E(0,0)", "E(5,5)"])
+    def test_generator_index_outside_1_to_n_exit_2(self, capsys, generator):
+        code = main(["singular", "--base-vector", REMARK_JSON, "--apply", generator])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert "--apply" in report["message"]
+        assert "1..3" in report["message"]
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestStructureCommand:
@@ -209,6 +222,96 @@ class TestVerdictCommand:
         assert report["error"] == "ValueError"
         assert shown in report["message"]
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [
+            ("rows", 5, "'rows' must be a list of lists"),
+            ("rows", ["1/2", "1/3"], "'rows' must be a list of lists"),
+            ("anchors", "1/2", "'anchors' must be a list"),
+            ("assignment", [[0, 1, 2], [3, 3], 3], "'assignment' must be a list of lists"),
+            ("offsets", [[0, 0, 0], [0, 0], 0], "'offsets' must be a list of lists"),
+            (None, [["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]], "must be a JSON object"),
+        ],
+        ids=["rows-number", "rows-flat", "anchors-string", "assignment-row-number", "offsets-row-number", "array"],
+    )
+    def test_json_shape_exit_2(self, capsys, tmp_path, field, value, shown):
+        # a container of the wrong JSON type is malformed input naming its
+        # field, never a traceback or a character-by-character reading
+        if field is None:
+            data = value
+        elif field == "rows":
+            data = {"rows": value}
+        else:
+            data = {
+                "n": 3,
+                "anchors": ["1/2", "1/3", "1/5", "1/7"],
+                "assignment": [[0, 1, 2], [3, 3], [3]],
+                "offsets": [[0, 0, 0], [0, 0], [0]],
+                field: value,
+            }
+        path = tmp_path / "vector.json"
+        path.write_text(json.dumps(data))
+        code = main(["verdict", "--base-vector", f"@{path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "ValueError"
+        assert shown in report["message"]
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestMemoLifetime:
+    # two one-singular gl(3) vectors with no entry in common
+    FIRST = REMARK_JSON
+    SECOND = json.dumps({"rows": [["2/3", "1/4", "1/6"], ["1/9", "1/9"], ["1/11"]]})
+
+    @staticmethod
+    def structure(capsys, vector):
+        assert main(["structure", "--base-vector", vector, "--radius", "1"]) == 0
+        capsys.readouterr()
+
+    @staticmethod
+    def cached(cache, *args) -> bool:
+        hits = cache.cache_info().hits
+        cache(*args)
+        return cache.cache_info().hits > hits
+
+    def test_each_command_starts_with_empty_caches(self, capsys):
+        for cache in _MEMO_CACHES:
+            cache.cache_clear()
+        self.structure(capsys, self.SECOND)
+        alone = [cache.cache_info().currsize for cache in _MEMO_CACHES]
+
+        self.structure(capsys, self.FIRST)
+        v = BaseVector.from_json(json.loads(self.FIRST))
+        derivative = Shift(3, ((0,), (1, 0)))  # a derivative key of the window
+        probes = [
+            (act_e, (v, 1, 2, basis_key(v, Shift.zero(3)))),
+            (_gamma_from_entries, (_row_entries(v, derivative, 2), 2)),
+            (_omega_plus_shift, (v, derivative)),
+        ]
+        assert all(self.cached(cache, *args) for cache, args in probes)
+
+        self.structure(capsys, self.SECOND)
+        assert [cache.cache_info().currsize for cache in _MEMO_CACHES] == alone
+        assert not any(self.cached(cache, *args) for cache, args in probes)
+
+    def test_reset_ignores_rebound_names(self, capsys, monkeypatch):
+        # a wrapper bound over a cached function's module names (as a span
+        # tracer does) has no cache_clear; the reset must still find the cache
+        from gtmodules import action, structure
+
+        def wrapper(*args):
+            return act_e(*args)
+
+        monkeypatch.setattr(action, "act_e", wrapper)
+        monkeypatch.setattr(structure, "act_e", wrapper)
+        self.structure(capsys, self.FIRST)
+        assert act_e.cache_info().currsize > 0
+        self.structure(capsys, self.SECOND)
+        v = BaseVector.from_json(json.loads(self.FIRST))
+        assert not self.cached(act_e, v, 1, 2, basis_key(v, Shift.zero(3)))
 
 
 class TestVerify:

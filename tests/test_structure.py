@@ -64,22 +64,22 @@ class TestOmegaSets:
 
 class TestWindowBases:
     def test_fully_generic_every_key(self, v_gen3, win3_r1):
-        keys = set(win3_r1.keys(v_gen3))
-        assert basis_N_window(v_gen3, Shift.zero(3), win3_r1) == keys
-        assert basis_I_window(v_gen3, Shift.zero(3), win3_r1) == keys
+        keys = win3_r1.keys(v_gen3)
+        assert basis_N_window(v_gen3, Shift.zero(3), keys) == set(keys)
+        assert basis_I_window(v_gen3, Shift.zero(3), keys) == set(keys)
 
     def test_subset_and_monotone(self, v_gen3_chain, win3_r1, win3):
         w0 = Shift.zero(3)
-        n_small = basis_N_window(v_gen3_chain, w0, win3_r1)
-        n_large = basis_N_window(v_gen3_chain, w0, win3)
-        assert basis_I_window(v_gen3_chain, w0, win3_r1) <= n_small
+        n_small = basis_N_window(v_gen3_chain, w0, win3_r1.keys(v_gen3_chain))
+        n_large = basis_N_window(v_gen3_chain, w0, win3.keys(v_gen3_chain))
+        assert basis_I_window(v_gen3_chain, w0, win3_r1.keys(v_gen3_chain)) <= n_small
         assert n_small <= n_large
 
     def test_equality_classes_partition(self, v_gen3_chain, win3_r1):
         keys = win3_r1.keys(v_gen3_chain)
         seen = set()
         for key in keys:
-            cls = frozenset(basis_I_window(v_gen3_chain, key.shift, win3_r1))
+            cls = frozenset(basis_I_window(v_gen3_chain, key.shift, keys))
             assert key in cls
             for other in cls:
                 assert omega_plus(v_gen3_chain, other) == omega_plus(v_gen3_chain, key)
@@ -95,20 +95,20 @@ class TestWindowBases:
         # a key whose triple set is maximal accepts only equal-or-larger sets
         keys = win3_r1.keys(v_gen3_chain)
         w0 = max(keys, key=lambda k: len(omega_plus(v_gen3_chain, k)))
-        for member in basis_N_window(v_gen3_chain, w0.shift, win3_r1):
+        for member in basis_N_window(v_gen3_chain, w0.shift, keys):
             assert omega_plus(v_gen3_chain, member) >= omega_plus(v_gen3_chain, w0)
 
     def test_ik_requires_hypothesis(self, v_sing_top, v_rem, win3_r1):
         # top row shares the singular anchor: rows 3 and 2 carry an integral
         # pair, which breaks the restricted-basis hypothesis
         with pytest.raises(HypothesisViolated):
-            basis_Ik_window(v_sing_top, basis_key(v_sing_top, Shift.zero(3)), win3_r1)
-        classes = basis_Ik_window(v_rem, basis_key(v_rem, Shift.zero(3)), win3_r1)
+            basis_Ik_window(v_sing_top, basis_key(v_sing_top, Shift.zero(3)), win3_r1.keys(v_sing_top))
+        classes = basis_Ik_window(v_rem, basis_key(v_rem, Shift.zero(3)), win3_r1.keys(v_rem))
         assert basis_key(v_rem, Shift.zero(3)) in classes
 
     def test_ik_whole_window_when_no_alignment(self, v_sing_irr, win3):
         # empty restricted triple sets everywhere: one class, the whole window
-        cls = basis_Ik_window(v_sing_irr, basis_key(v_sing_irr, Shift.zero(3)), win3)
+        cls = basis_Ik_window(v_sing_irr, basis_key(v_sing_irr, Shift.zero(3)), win3.keys(v_sing_irr))
         assert cls == set(win3.keys(v_sing_irr))
 
     def test_ik_classes_partition(self, v_rem, win3_r1):
@@ -116,7 +116,7 @@ class TestWindowBases:
         total = 0
         seen = set()
         for key in keys:
-            cls = frozenset(basis_Ik_window(v_rem, key, win3_r1))
+            cls = frozenset(basis_Ik_window(v_rem, key, keys))
             if cls not in seen:
                 seen.add(cls)
                 total += len(cls)
@@ -187,7 +187,7 @@ class TestReachability:
 
 class TestDropAudit:
     def test_generic_never_drops(self, v_gen3_chain, win3):
-        report = omega_drop_audit(v_gen3_chain, win3)
+        report = omega_drop_audit(v_gen3_chain, win3.keys(v_gen3_chain))
         assert report.ok
         assert report.drops == []
         assert report.edges_scanned > 0
@@ -202,14 +202,14 @@ class TestDropAudit:
                         assert omega_plus(v_gen3_chain, t) >= om
 
     def test_remark_vector_classified(self, v_rem, win3):
-        report = omega_drop_audit(v_rem, win3)
+        report = omega_drop_audit(v_rem, win3.keys(v_rem))
         assert report.ok
         assert report.violations == [] and report.unclassified == []
         assert {e.config for e in report.drops} == {"I", "III", "V"}
 
     def test_top_sharing_vector_classified(self, v_sing_top, win3):
         # row 3 carries the matching anchor: the raising-side patterns fire
-        report = omega_drop_audit(v_sing_top, win3)
+        report = omega_drop_audit(v_sing_top, win3.keys(v_sing_top))
         assert report.ok
         configs = {e.config for e in report.drops}
         assert configs == {"II", "IV"}
@@ -256,7 +256,7 @@ class TestDropAudit:
             rows = [[q[4], q[1], q[2], q[3]], [q[4], q[5], q[4]], [q[6], q[7]], [q[8]]]
         v = BaseVector.from_rows(rows)
         win = Window(center=Shift.zero(4), radius=1, margin=1)
-        report = omega_drop_audit(v, win)
+        report = omega_drop_audit(v, win.keys(v))
         assert report.ok
         assert {e.config for e in report.drops} == expected
 
@@ -278,7 +278,7 @@ class TestWWStarInvariance:
     def test_drop_targets_are_local_minima(self, v_rem, win3):
         # out of any drop-by-one target, no single-generator edge decreases
         # the triple-set size further
-        report = omega_drop_audit(v_rem, win3)
+        report = omega_drop_audit(v_rem, win3.keys(v_rem))
         assert report.drops
         for edge in report.drops:
             w = edge.target
@@ -293,7 +293,7 @@ class TestWWStarInvariance:
         # equal and strictly growing is decided entirely by the tracked
         # inequalities between the two singular entries and the matched
         # neighbor entry below them
-        report = omega_drop_audit(v_rem, win3)
+        report = omega_drop_audit(v_rem, win3.keys(v_rem))
         checked = 0
         for edge in (e for e in report.drops if e.config == "I"):
             w = edge.target
@@ -325,7 +325,7 @@ class TestTopPartLemma:
         # another as in the generic case of the bottom subalgebra
         win = Window(center=Shift.zero(4), radius=1, margin=1)
         key0 = basis_key(v_sing4, Shift.zero(4))
-        cls = basis_Ik_window(v_sing4, key0, win)
+        cls = basis_Ik_window(v_sing4, key0, win.keys(v_sing4))
         same_top = sorted(
             (k for k in cls if k.shift.rows[2] == (0, 0, 0)),
             key=lambda k: k.shift.rows,
