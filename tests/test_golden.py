@@ -51,6 +51,11 @@ CASES = {
     ],
     "singular3-verify-r1": ["verify", "--radius", "1", "--base-vector", SINGULAR3],
     "singular3-structure-r2": ["structure", "--radius", "2", "--base-vector", SINGULAR3],
+    # off-centre window and a derivative focus key: targets are looked up in a
+    # window that is not swap-symmetric
+    "singular3-structure-r2-offcentre": [
+        "structure", "--radius", "2", "--center", "1,0;0", "--key", "DT@1,0;0", "--base-vector", SINGULAR3,
+    ],
     "singular3-verdict-r2": ["verdict", "--radius", "2", "--base-vector", SINGULAR3],
     "singular3-irr-verdict-r2": ["verdict", "--radius", "2", "--base-vector", SINGULAR3_IRR],
     "generic3-structure-r2": ["structure", "--radius", "2", "--base-vector", GENERIC3_CHAIN],
