@@ -49,6 +49,7 @@ from .structure import (
     reach_components,
     reach_edges,
     reach_graph,
+    reach_scan,
     separator,
 )
 

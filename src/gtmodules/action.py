@@ -245,14 +245,10 @@ def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int,
             yield s0, kind, TabKey(target, kind), coeff
 
 
-@lru_cache(maxsize=None)
-def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
-    """Elementary generator action of E_{rs}, |r-s| <= 1, on one basis key.
-
-    Raises NotStandard for a non-standard tableau of the finite family and
+def _check_key(v: BaseVector, key: TabKey) -> None:
+    """Raise NotStandard for a non-standard tableau of the finite family and
     ValueError for an unsupported vector, a derivative key outside the
-    one-singular family or a swap-fixed derivative key.
-    """
+    one-singular family or a swap-fixed derivative key."""
     cls = classify(v)
     if cls.family is Family.UNSUPPORTED:
         raise ValueError("unsupported base vector (more than one singular pair)")
@@ -264,6 +260,13 @@ def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
             raise ValueError("swap-fixed derivative labels are zero and not basis keys")
     if cls.family is Family.FINITE_STANDARD and not is_standard(v, key.shift):
         raise NotStandard("input tableau is not standard")
+
+
+@lru_cache(maxsize=None)
+def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
+    """Elementary generator action of E_{rs}, |r-s| <= 1, on one basis key;
+    a key that is not a basis key raises as in :func:`_check_key`."""
+    _check_key(v, key)
     acc: dict[TabKey, Fraction] = {}
     for _s0, _kind, tkey, coeff in _summands(v, r, s, key):
         _add_term(acc, tkey, coeff)

@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .action import ModVec, act_gamma, apply_casimir_pbw, apply_e, gamma_eval
 from .ratcalc import format_rat, rf_d_pair, rf_from_linear_factors
-from .structure import Window, basis_key, key_sort_key, omega_drop_audit, separator
-from .tableau import BaseVector, Family, Kind, TabKey, classify, singular_triple
+from .structure import basis_key, key_sort_key, omega_drop_audit, separator
+from .tableau import BaseVector, Family, Kind, Shift, TabKey, classify, singular_triple
 
 __all__ = [
     "commutator",
@@ -168,13 +168,12 @@ def check_dpair_properties(seed: int = 0, count: int = 100) -> list[dict]:
     return failures
 
 
-def check_character_pairing(v: BaseVector, win: Window) -> list[dict]:
-    """Two labels share every subalgebra eigenvalue iff they agree up to the
-    singular swap."""
+def check_character_pairing(v: BaseVector, shifts: Sequence[Shift]) -> list[dict]:
+    """Two of the given labels share every subalgebra eigenvalue iff they
+    agree up to the singular swap."""
     k, i, j = singular_triple(v)
     levels = [(m, s) for m in range(1, v.n + 1) for s in range(1, m + 1)]
     failures = []
-    shifts = win.shifts()
     chars = {w: tuple(gamma_eval(v, m, s, w) for m, s in levels) for w in shifts}
     for z in shifts:
         for w in shifts:
@@ -186,14 +185,14 @@ def check_character_pairing(v: BaseVector, win: Window) -> list[dict]:
 
 
 def check_separation(
-    v: BaseVector, win: Window, sample: int | None = None, seed: int = 0
+    v: BaseVector, shifts: Sequence[Shift], sample: int | None = None, seed: int = 0
 ) -> list[dict]:
     """Separator recipes annihilate both tableaux at z and fix the basis
-    element at w, for ordered label pairs that are not swap-related."""
+    element at w, for ordered pairs of the given labels that are not
+    swap-related."""
     from .tableau import canonicalize
 
     k, i, j = singular_triple(v)
-    shifts = win.shifts()
     pairs = [
         (z, w)
         for z in shifts
@@ -218,10 +217,11 @@ def check_separation(
     return failures
 
 
-def check_drop_bound(v: BaseVector, win: Window) -> list[dict]:
-    """Triple-set size bound along generator edges, with full classification
-    of drop-by-one edges; the generic family admits no drops at all."""
-    report = omega_drop_audit(v, win.keys(v))
+def check_drop_bound(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
+    """Triple-set size bound along generator edges out of the given keys,
+    with full classification of drop-by-one edges; the generic family
+    admits no drops at all."""
+    report = omega_drop_audit(v, keys)
     failures = [{"type": "violation", **e.to_json()} for e in report.violations]
     failures.extend({"type": "unclassified", **e.to_json()} for e in report.unclassified)
     if classify(v).family is Family.GENERIC:

@@ -38,12 +38,11 @@ from .structure import (
     basis_N_window,
     basis_key,
     irreducibility_verdict,
-    omega_drop_audit,
     omega_k_plus,
     omega_plus,
     reach_closure,
     reach_components,
-    reach_graph,
+    reach_scan,
 )
 from .tableau import (
     BaseVector,
@@ -64,19 +63,27 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _parse_rows(text: str) -> list[list[int]]:
+    return [_parse_int_list(part) for part in text.split(";")]
+
+
 def _parse_shift(n: int, text: str) -> Shift:
-    rows = [_parse_int_list(part) for part in text.split(";")]
-    return Shift.from_json(n, rows)
+    return Shift.from_json(n, _parse_rows(text))
 
 
 def _parse_key(n: int, text: str) -> TabKey:
-    text = text.strip()
-    if text.startswith("{"):
-        return TabKey.from_json(n, json.loads(text))
-    if "@" in text:
-        kind_text, _, shift_text = text.partition("@")
-        return TabKey(_parse_shift(n, shift_text), Kind(kind_text.strip()))
-    return TabKey(_parse_shift(n, text), Kind.REGULAR)
+    """A basis key as JSON or as 'KIND@rows' (KIND T when omitted); bad
+    input raises InputError naming --key."""
+    stripped = text.strip()
+    try:
+        if stripped.startswith("{"):
+            return TabKey.from_json(n, json.loads(stripped))
+        kind, sep, rows = stripped.partition("@")
+        if not sep:
+            kind, rows = Kind.REGULAR.value, stripped
+        return TabKey.from_json(n, {"shift": _parse_rows(rows), "kind": kind.strip()})
+    except ValueError as exc:
+        raise InputError(f"--key {text!r}: {exc}") from None
 
 
 def _load_base_vector(args) -> BaseVector:
@@ -113,7 +120,10 @@ def _load_base_vector(args) -> BaseVector:
 
 
 def _window(args, n: int) -> Window:
-    center = _parse_shift(n, args.center) if args.center else Shift.zero(n)
+    try:
+        center = _parse_shift(n, args.center) if args.center else Shift.zero(n)
+    except ValueError as exc:
+        raise InputError(f"--center {args.center!r}: {exc}") from None
     return Window(center=center, radius=args.radius, margin=args.margin)
 
 
@@ -257,7 +267,8 @@ def cmd_structure(args) -> tuple[dict, int]:
         raise InputError("structure analysis requires a generic or one-singular vector")
     win = _window(args, v.n)
     key = _parse_key(v.n, args.key[0]) if args.key else basis_key(v, win.center)
-    graph = reach_graph(v, win)
+    keys = win.keys(v)
+    graph, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)
     if key not in graph:
         raise InputError("--key is not a basis key of the window")
     report: dict = {
@@ -276,7 +287,6 @@ def cmd_structure(args) -> tuple[dict, int]:
         "count": len(components),
         "sizes": [len(c) for c in components[:10]],
     }
-    keys = list(graph)
     if fam is Family.GENERIC:
         report["basis_N_window_size"] = len(basis_N_window(v, key.shift, keys))
         report["basis_I_window_size"] = len(basis_I_window(v, key.shift, keys))
@@ -296,7 +306,6 @@ def cmd_structure(args) -> tuple[dict, int]:
             report["basis_Ik_window_size"] = len(basis_Ik_window(v, key, keys))
         except HypothesisViolated as exc:
             report["basis_Ik_window_error"] = str(exc)
-        audit = omega_drop_audit(v, keys)
         report["drop_audit"] = audit.to_json()
     return report, 0
 
@@ -330,6 +339,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         }
 
     keys = win.keys(v)
+    shifts = [key.shift for key in keys]
     run("relations", checks.check_relations(v, keys), f"{len(keys)} keys")
     run(
         "gamma_coherence",
@@ -338,13 +348,13 @@ def cmd_verify(args) -> tuple[dict, int]:
     )
     run("dpair_calculus", checks.check_dpair_properties(seed=args.seed, count=100), "100 random functions")
     if fam is Family.ONE_SINGULAR:
-        run("character_pairing", checks.check_character_pairing(v, win), f"{len(keys)}^2 label pairs")
+        run("character_pairing", checks.check_character_pairing(v, shifts), f"{len(keys)}^2 label pairs")
         run(
             "separation",
-            checks.check_separation(v, win, sample=args.sample, seed=args.seed),
+            checks.check_separation(v, shifts, sample=args.sample, seed=args.seed),
             f"sampled pairs (limit {args.sample})",
         )
-    run("omega_drop_bound", checks.check_drop_bound(v, win), "all window edges")
+    run("omega_drop_bound", checks.check_drop_bound(v, keys), "all window edges")
     passed = all(s["passed"] for s in suites.values())
     report = {
         "command": "verify",

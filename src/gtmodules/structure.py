@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Callable
 
 from .action import (
     ModVec,
+    _add_term,
     _apply_e_key,
+    _check_key,
     _gamma_from_entries,
     _summands,
     act_e,
@@ -53,6 +56,7 @@ __all__ = [
     "separator",
     "reach_edges",
     "reach_graph",
+    "reach_scan",
     "reach_closure",
     "reach_components",
     "DropEdge",
@@ -303,34 +307,76 @@ def _generator_labels(n: int) -> list[tuple[int, int]]:
     return gens
 
 
+def _fold_edges(
+    v: BaseVector,
+    key: TabKey,
+    lookup: Callable[[TabKey], TabKey | None],
+    audit: DropAuditReport | None = None,
+) -> dict[TabKey, str]:
+    """Targets of single generators on a basis key that ``lookup`` maps to a
+    window key, each with its first witnessing generator.
+
+    Each raising and lowering generator's summands are read once and summed
+    in a local dict, so targets whose summands cancel get no edge.  With
+    ``audit`` given, every summand is also scanned by that drop audit.
+    """
+    _check_key(v, key)
+    edges: dict[TabKey, str] = {}
+    size_src = len(omega_plus(v, key)) if audit is not None else 0
+    for a, b in _generator_labels(v.n):
+        acc: dict[TabKey, Fraction] = {}
+        for s0, comp_kind, tkey, coeff in _summands(v, a, b, key):
+            if audit is not None:
+                audit.scan(key, size_src, a, b, s0, comp_kind, tkey)
+            _add_term(acc, tkey, coeff)
+        for tkey in acc:
+            own = lookup(tkey)
+            if own is not None and own not in edges:
+                edges[own] = f"E({a},{b})"
+    if classify(v).family is Family.ONE_SINGULAR and key.kind is Kind.DERIVATIVE:
+        k, _i, _j = singular_triple(v)
+        out = act_gamma(v, k, 2, key, shift=key.shift)
+        for tkey in out.support():
+            own = lookup(tkey)
+            if own is not None and own not in edges:
+                edges[own] = f"C({k},2)"
+    return edges
+
+
 def reach_edges(v: BaseVector, key: TabKey, win: Window) -> dict[TabKey, str]:
     """Window keys other than the given basis element that receive a nonzero
     coefficient from one generator applied to it, with the first witnessing
     generator.
 
-    In the one-singular family the derivative-to-regular edge through the
-    recentred level (k, 2) element is included; it is the only single
-    element of the subalgebra that moves a basis vector.
+    Each generator's summands are summed once, as :func:`act_e` would sum
+    them, but nothing is cached.  In the one-singular family the
+    derivative-to-regular edge through the recentred level (k, 2) element
+    is included; it is the only single element of the subalgebra that moves
+    a basis vector.
     """
-    edges: dict[TabKey, str] = {}
-    for a, b in _generator_labels(v.n):
-        out = act_e(v, a, b, key)
-        for tkey in out.support():
-            if win.contains(tkey.shift) and tkey not in edges:
-                edges[tkey] = f"E({a},{b})"
-    if classify(v).family is Family.ONE_SINGULAR and key.kind is Kind.DERIVATIVE:
-        k, _i, _j = singular_triple(v)
-        out = act_gamma(v, k, 2, key, shift=key.shift)
-        for tkey in out.support():
-            if win.contains(tkey.shift) and tkey not in edges:
-                edges[tkey] = f"C({k},2)"
-    return edges
+    return _fold_edges(v, key, lambda tkey: tkey if win.contains(tkey.shift) else None)
+
+
+def reach_scan(
+    v: BaseVector, keys: list[TabKey], audit: bool = False
+) -> tuple[dict[TabKey, list[TabKey]], DropAuditReport | None]:
+    """Reach graph on the window keys, and with ``audit`` their drop audit,
+    from one pass over the generator summands.
+
+    The graph maps each key, in the given order, to its :func:`reach_edges`
+    targets, stored as the window's own key objects.  The audit equals
+    :func:`omega_drop_audit` on the same keys, edge for edge and in order.
+    """
+    report = _drop_audit_report(v) if audit else None
+    window = {key: key for key in keys}
+    return {key: list(_fold_edges(v, key, window.get, report)) for key in keys}, report
 
 
 def reach_graph(v: BaseVector, win: Window) -> dict[TabKey, list[TabKey]]:
     """Single-generator reachability digraph on the window keys, in window
-    order: each key maps to the targets of :func:`reach_edges`."""
-    return {key: list(reach_edges(v, key, win)) for key in win.keys(v)}
+    order: each key maps to the targets of :func:`reach_edges`, built by
+    :func:`reach_scan` without the drop audit."""
+    return reach_scan(v, win.keys(v))[0]
 
 
 def reach_closure(graph: dict[TabKey, list[TabKey]], key: TabKey) -> frozenset[TabKey]:
@@ -440,6 +486,32 @@ class DropAuditReport:
     def ok(self) -> bool:
         return not self.violations and not self.unclassified
 
+    def scan(
+        self, src: TabKey, size_src: int, a: int, b: int, s0: int, comp_kind: Kind, target: TabKey
+    ) -> None:
+        """Check one summand of E(a,b) on src, whose triple set has size_src
+        elements, against the size bound."""
+        self.edges_scanned += 1
+        size_tgt = len(omega_plus(self.vector, target))
+        if size_tgt >= size_src:
+            return
+        drop_by_one = size_tgt == size_src - 1
+        config = _drop_config(self.vector, src, min(a, b), b - a, s0, comp_kind) if drop_by_one else None
+        edge = DropEdge(
+            source=src,
+            generator=f"E({a},{b})",
+            target=target,
+            source_size=size_src,
+            target_size=size_tgt,
+            config=config,
+        )
+        if not drop_by_one:
+            self.violations.append(edge)
+            return
+        self.drops.append(edge)
+        if config is None:
+            self.unclassified.append(edge)
+
     def to_json(self) -> dict:
         return {
             "edges_scanned": self.edges_scanned,
@@ -448,6 +520,14 @@ class DropAuditReport:
             "unclassified_drops": [e.to_json() for e in self.unclassified],
             "ok": self.ok,
         }
+
+
+def _drop_audit_report(v: BaseVector) -> DropAuditReport:
+    """An empty audit of v; only the generic and one-singular families have
+    triple-set audits."""
+    if classify(v).family not in (Family.GENERIC, Family.ONE_SINGULAR):
+        raise ValueError("audit requires a generic or one-singular vector")
+    return DropAuditReport(vector=v)
 
 
 def _drop_config(
@@ -506,34 +586,12 @@ def omega_drop_audit(v: BaseVector, keys: list[TabKey]) -> DropAuditReport:
     come back empty for the audit to pass (the generic family admits no
     decrease at all).
     """
-    if classify(v).family not in (Family.GENERIC, Family.ONE_SINGULAR):
-        raise ValueError("audit requires a generic or one-singular vector")
-    report = DropAuditReport(vector=v)
+    report = _drop_audit_report(v)
     for key in keys:
         size_src = len(omega_plus(v, key))
-        for r in range(1, v.n):
-            for a, b, direction in ((r, r + 1, 1), (r + 1, r, -1)):
-                for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key):
-                    report.edges_scanned += 1
-                    size_tgt = len(omega_plus(v, tkey))
-                    if size_tgt >= size_src:
-                        continue
-                    drop_by_one = size_tgt == size_src - 1
-                    config = _drop_config(v, key, r, direction, s0, comp_kind) if drop_by_one else None
-                    edge = DropEdge(
-                        source=key,
-                        generator=f"E({a},{b})",
-                        target=tkey,
-                        source_size=size_src,
-                        target_size=size_tgt,
-                        config=config,
-                    )
-                    if not drop_by_one:
-                        report.violations.append(edge)
-                        continue
-                    report.drops.append(edge)
-                    if config is None:
-                        report.unclassified.append(edge)
+        for a, b in _generator_labels(v.n):
+            for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key):
+                report.scan(key, size_src, a, b, s0, comp_kind, tkey)
     return report
 
 

@@ -75,7 +75,8 @@ class Shift:
 
     def __post_init__(self):
         if len(self.rows) != self.n - 1:
-            raise ValueError("shift must cover rows 1..n-1")
+            m = self.n - 1
+            raise ValueError(f"a gl({self.n}) shift must have {m} rows (rows 1..{m}), got {len(self.rows)}")
         for r, row in enumerate(self.rows, start=1):
             if len(row) != r:
                 raise ValueError(f"row {r} of shift must have {r} entries")
@@ -132,8 +133,11 @@ class Shift:
 
     @classmethod
     def from_json(cls, n: int, data) -> "Shift":
-        rows = [tuple(int(x) for x in row) for row in reversed(list(data))]
-        return cls(n, tuple(rows))
+        """Rows listed top down, each a JSON array of integers; any other
+        JSON value raises ValueError naming it."""
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError(f"a shift must be a list of integer rows, got {data!r}")
+        return cls(n, tuple(tuple(_json_int(x) for x in row) for row in reversed(data)))
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,18 @@ class TabKey:
 
     @classmethod
     def from_json(cls, n: int, data) -> "TabKey":
-        return cls(Shift.from_json(n, data["shift"]), Kind(data["kind"]))
+        """A JSON object {"shift": rows, "kind": "T" or "DT"}; any other
+        shape raises ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a basis key must be a JSON object, got {type(data).__name__}")
+        kinds = [kind.value for kind in Kind]
+        if _json_field(data, "kind", "basis key") not in kinds:
+            raise ValueError(f"basis key field 'kind' must be one of {kinds}, got {data['kind']!r}")
+        try:
+            shift = Shift.from_json(n, _json_field(data, "shift", "basis key"))
+        except ValueError as exc:
+            raise ValueError(f"basis key field 'shift': {exc}") from None
+        return cls(shift, Kind(data["kind"]))
 
 
 def _frac_part(x: Fraction) -> Fraction:
@@ -222,9 +237,6 @@ class BaseVector:
     def anchor_index(self, r: int, s: int) -> int:
         return self.assignment[r - 1][s - 1]
 
-    def same_anchor(self, p: tuple[int, int], q: tuple[int, int]) -> bool:
-        return self.anchor_index(*p) == self.anchor_index(*q)
-
     def top_row(self) -> tuple[Fraction, ...]:
         return tuple(self.entry(self.n, s) for s in range(1, self.n + 1))
 
@@ -296,7 +308,7 @@ class BaseVector:
         if "rows" in data:
             rows = _json_list(data, "rows", nested=True)
             return cls.from_rows([[parse_rat(x) for x in row] for row in rows])
-        n = _json_int(data["n"])
+        n = _json_int(_json_field(data, "n"))
         anchors = tuple(parse_rat(a) for a in _json_list(data, "anchors"))
         assignment = tuple(
             tuple(_json_int(x) for x in row) for row in reversed(_json_list(data, "assignment", nested=True))
@@ -307,9 +319,16 @@ class BaseVector:
         return cls(n, anchors, assignment, offsets)
 
 
+def _json_field(data: dict, name: str, what: str = "base vector"):
+    """data[name]; a missing field raises ValueError naming it."""
+    if name not in data:
+        raise ValueError(f"{what} field {name!r} is missing")
+    return data[name]
+
+
 def _json_list(data: dict, name: str, nested: bool = False) -> list:
     """data[name] as a JSON array, of arrays when nested."""
-    value = data[name]
+    value = _json_field(data, name)
     if not isinstance(value, list) or nested and not all(isinstance(row, list) for row in value):
         shape = "a list of lists" if nested else "a list"
         raise ValueError(f"base vector field {name!r} must be {shape}, got {value!r}")

@@ -131,9 +131,9 @@ def test_criterion_4_singular_module_axioms(v_rem, v_sing4, win3):
 
 
 def test_criterion_5_separation_suite(v_rem, win3_r1):
-    failures = check_separation(v_rem, win3_r1, sample=None)
-    assert failures == []
     shifts = win3_r1.shifts()
+    failures = check_separation(v_rem, shifts, sample=None)
+    assert failures == []
     k, i, j = 2, 1, 2
     pairs = sum(
         1

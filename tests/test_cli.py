@@ -116,6 +116,39 @@ class TestApplyCommands:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestKeyInput:
+    @pytest.mark.parametrize(
+        "key,shown",
+        [
+            ('{"shift": 5, "kind": "T"}', "basis key field 'shift': a shift must be a list of integer rows, got 5"),
+            ('{"shift": [[0, 0], [0]]}', "basis key field 'kind' is missing"),
+            ('{"kind": "DT"}', "basis key field 'shift' is missing"),
+            ('{"shift": [[0, 0], [0]], "kind": "X"}', "basis key field 'kind' must be one of ['T', 'DT'], got 'X'"),
+            ('{"shift": [[0, 0.5], [0]], "kind": "T"}', "expected an integer, got 0.5"),
+            ("T@0,0", "a gl(3) shift must have 2 rows (rows 1..2), got 1"),
+            ("T@0,0,0;0", "row 2 of shift must have 2 entries"),
+        ],
+        ids=["shift-number", "no-kind", "no-shift", "bad-kind", "float-entry", "too-few-rows", "long-row"],
+    )
+    @pytest.mark.parametrize("command", ["singular", "structure"])
+    def test_malformed_key_exit_2(self, capsys, command, key, shown):
+        # a malformed basis key names --key and the field, never a traceback
+        window = ["--radius", "1"] if command == "structure" else []
+        code = main([command, "--base-vector", REMARK_JSON, *window, "--key", key])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "InputError"
+        assert report["message"].startswith(f"--key {key!r}: ")
+        assert shown in report["message"]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_center_names_flag(self, capsys):
+        code, report = run_cli(capsys, "structure", "--base-vector", REMARK_JSON, "--radius", "1", "--center", "1,0")
+        assert code == 2
+        assert report["message"] == "--center '1,0': a gl(3) shift must have 2 rows (rows 1..2), got 1"
+
+
 class TestStructureCommand:
     def test_remark_report(self, capsys):
         code, report = run_cli(
@@ -262,13 +295,14 @@ class TestVerdictCommand:
 
 
 class TestMemoLifetime:
-    # two one-singular gl(3) vectors with no entry in common
+    # two one-singular gl(3) vectors with no entry in common; verify fills
+    # all four memo caches
     FIRST = REMARK_JSON
     SECOND = json.dumps({"rows": [["2/3", "1/4", "1/6"], ["1/9", "1/9"], ["1/11"]]})
 
     @staticmethod
-    def structure(capsys, vector):
-        assert main(["structure", "--base-vector", vector, "--radius", "1"]) == 0
+    def verify(capsys, vector):
+        assert main(["verify", "--base-vector", vector, "--radius", "1"]) == 0
         capsys.readouterr()
 
     @staticmethod
@@ -280,10 +314,10 @@ class TestMemoLifetime:
     def test_each_command_starts_with_empty_caches(self, capsys):
         for cache in _MEMO_CACHES:
             cache.cache_clear()
-        self.structure(capsys, self.SECOND)
+        self.verify(capsys, self.SECOND)
         alone = [cache.cache_info().currsize for cache in _MEMO_CACHES]
 
-        self.structure(capsys, self.FIRST)
+        self.verify(capsys, self.FIRST)
         v = BaseVector.from_json(json.loads(self.FIRST))
         derivative = Shift(3, ((0,), (1, 0)))  # a derivative key of the window
         probes = [
@@ -293,9 +327,14 @@ class TestMemoLifetime:
         ]
         assert all(self.cached(cache, *args) for cache, args in probes)
 
-        self.structure(capsys, self.SECOND)
+        self.verify(capsys, self.SECOND)
         assert [cache.cache_info().currsize for cache in _MEMO_CACHES] == alone
         assert not any(self.cached(cache, *args) for cache, args in probes)
+
+        # structure reads the generator summands directly, never through act_e
+        assert main(["structure", "--base-vector", self.FIRST, "--radius", "1"]) == 0
+        capsys.readouterr()
+        assert act_e.cache_info().currsize == 0
 
     def test_reset_ignores_rebound_names(self, capsys, monkeypatch):
         # a wrapper bound over a cached function's module names (as a span
@@ -307,9 +346,9 @@ class TestMemoLifetime:
 
         monkeypatch.setattr(action, "act_e", wrapper)
         monkeypatch.setattr(structure, "act_e", wrapper)
-        self.structure(capsys, self.FIRST)
+        self.verify(capsys, self.FIRST)
         assert act_e.cache_info().currsize > 0
-        self.structure(capsys, self.SECOND)
+        self.verify(capsys, self.SECOND)
         v = BaseVector.from_json(json.loads(self.FIRST))
         assert not self.cached(act_e, v, 1, 2, basis_key(v, Shift.zero(3)))
 

@@ -183,4 +183,4 @@ class TestCharacterPairing:
     def test_characters_separate_up_to_swap(self, v_rem, win3_r1):
         from gtmodules.checks import check_character_pairing
 
-        assert check_character_pairing(v_rem, win3_r1) == []
+        assert check_character_pairing(v_rem, win3_r1.shifts()) == []

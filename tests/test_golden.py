@@ -2,10 +2,15 @@
 
 Each case runs ``gtmodules.cli.main`` in-process and compares the sha256 of
 its stdout with the digest stored in ``golden_digests.json``.  Refactors of
-the library must leave every digest unchanged.  To record the digests
-after a deliberate change of report output, run
+the library must leave every digest unchanged.  To record the digest of a
+newly added case, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+It writes only the cases missing from the file and prints the name of each
+recorded case whose report no longer matches, without rewriting it.  A
+deliberate change of report output is recorded by deleting the affected
+entries first.
 """
 
 import contextlib
@@ -77,7 +82,20 @@ def test_report_is_byte_identical(name):
     assert digest == expected
 
 
+def record_missing() -> None:
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+    added = []
+    for name, argv in sorted(CASES.items()):
+        digest = report_digest(argv)[1]
+        if name not in digests:
+            digests[name] = digest
+            added.append(name)
+        elif digests[name] != digest:
+            print(f"changed, not rewritten: {name}")
+    if added:
+        DIGESTS.write_text(json.dumps(dict(sorted(digests.items())), indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(added)} new digests in {DIGESTS}: {', '.join(added) or 'none'}")
+
+
 if __name__ == "__main__":
-    digests = {name: report_digest(argv)[1] for name, argv in sorted(CASES.items())}
-    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {DIGESTS}")
+    record_missing()

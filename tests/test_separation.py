@@ -80,4 +80,4 @@ class TestFullWindowSweep:
     def test_radius_one_all_pairs(self, v_rem, win3_r1):
         from gtmodules.checks import check_separation
 
-        assert check_separation(v_rem, win3_r1) == []
+        assert check_separation(v_rem, win3_r1.shifts()) == []

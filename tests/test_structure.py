@@ -1,9 +1,12 @@
+import json
 from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
 
-from gtmodules.action import ModVec, act_e
+import gtmodules.action
+from gtmodules.action import ModVec, act_e, act_gamma
+from gtmodules.cli import main
 from gtmodules.structure import (
     HypothesisViolated,
     Window,
@@ -19,6 +22,7 @@ from gtmodules.structure import (
     reach_components,
     reach_edges,
     reach_graph,
+    reach_scan,
 )
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, tau
 
@@ -183,6 +187,79 @@ class TestReachability:
         for k1 in members[:4]:
             closure = reach_closure(graph, k1)
             assert all(k2 in closure for k2 in members)
+
+
+def act_e_reach_edges(v, key, win):
+    """Reach edges read off the support of the cached act_e, each generator
+    in turn, then the C(k,2) edge of a derivative key: the route that
+    reach_edges took before it summed the generator summands itself."""
+    edges = {}
+    for r in range(1, v.n):
+        for a, b in ((r, r + 1), (r + 1, r)):
+            for tkey in act_e(v, a, b, key).support():
+                if win.contains(tkey.shift) and tkey not in edges:
+                    edges[tkey] = f"E({a},{b})"
+    if v.classification.singular is not None and key.kind is Kind.DERIVATIVE:
+        k = v.classification.singular[0]
+        for tkey in act_gamma(v, k, 2, key, shift=key.shift).support():
+            if win.contains(tkey.shift) and tkey not in edges:
+                edges[tkey] = f"C({k},2)"
+    return edges
+
+
+class TestOnePass:
+    WINDOWS = {
+        "v_rem": Window(center=Shift.zero(3), radius=2),
+        "v_rem-offcentre": Window(center=shift3([(0,), (1, 0)]), radius=2),
+        "v_sing_top": Window(center=Shift.zero(3), radius=2),
+        "v_gen3_chain": Window(center=Shift.zero(3), radius=2),
+        "v_sing4": Window(center=Shift.zero(4), radius=1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WINDOWS))
+    def test_graph_and_audit_match_separate_routes(self, request, case):
+        v = request.getfixturevalue(case.split("-")[0])
+        win = self.WINDOWS[case]
+        keys = win.keys(v)
+        graph, report = reach_scan(v, keys, audit=True)
+        assert list(graph) == keys
+        for key in keys:
+            assert graph[key] == list(act_e_reach_edges(v, key, win))
+        own = {key: key for key in keys}
+        assert all(own[t] is t for targets in graph.values() for t in targets)
+        # DropAuditReport compares its edge lists in order
+        assert report == omega_drop_audit(v, keys)
+
+    def test_reach_edges_and_graph_keep_their_witnesses(self, v_rem):
+        win = self.WINDOWS["v_rem-offcentre"]
+        graph = reach_graph(v_rem, win)
+        for key in win.keys(v_rem):
+            edges = reach_edges(v_rem, key, win)
+            assert edges == act_e_reach_edges(v_rem, key, win)
+            assert list(edges) == graph[key]
+
+    def test_reach_edges_rejects_swap_fixed_derivative_key(self, v_rem, win3_r1):
+        with pytest.raises(ValueError, match="swap-fixed"):
+            reach_edges(v_rem, TabKey(Shift.zero(3), Kind.DERIVATIVE), win3_r1)
+
+    @pytest.mark.parametrize("rows", [[["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]],
+                                      [["1/7", "1/3", "1/5"], ["-6/7", "1/11"], ["8/7"]]],
+                             ids=["one-singular", "generic"])
+    def test_structure_evaluates_each_summand_once(self, capsys, monkeypatch, rows):
+        # a gl(3) key has 1 + 1 + 2 + 2 summands over E(1,2), E(2,1), E(2,3)
+        # and E(3,2), each one coefficient
+        calls = []
+        coeff_e = gtmodules.action.coeff_e
+
+        def counted(v, l, m, s0, z, deform=True):
+            calls.append((l, m, s0, z))
+            return coeff_e(v, l, m, s0, z, deform)
+
+        monkeypatch.setattr(gtmodules.action, "coeff_e", counted)
+        vector = json.dumps({"rows": rows})
+        assert main(["structure", "--base-vector", vector, "--radius", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == len(set(calls)) == 6 * report["window_size"] == 6 * 27
 
 
 class TestDropAudit:

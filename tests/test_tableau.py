@@ -195,6 +195,21 @@ class TestJson:
         key = TabKey(Shift(3, ((0,), (2, 0))), Kind.DERIVATIVE)
         assert TabKey.from_json(3, key.to_json()) == key
 
+    @pytest.mark.parametrize(
+        "data,shown",
+        [
+            ({"shift": 5, "kind": "T"}, "field 'shift': a shift must be a list of integer rows"),
+            ({"shift": [[0, 0], [0]]}, "field 'kind' is missing"),
+            ({"shift": [[0, "1"], [0]], "kind": "T"}, "expected an integer, got '1'"),
+            ({"shift": [[0, 0]], "kind": "T"}, "must have 2 rows"),
+            (["T", [[0, 0], [0]]], "a basis key must be a JSON object, got list"),
+        ],
+        ids=["shift-number", "no-kind", "string-entry", "too-few-rows", "array"],
+    )
+    def test_key_json_shape_is_a_value_error(self, data, shown):
+        with pytest.raises(ValueError, match=shown.replace("(", r"\(")):
+            TabKey.from_json(3, data)
+
 
 class TestSingularTriple:
     def test_reports_triple(self, v_sing4):
