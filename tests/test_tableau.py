@@ -207,8 +207,9 @@ class TestJson:
         ids=["shift-number", "no-kind", "string-entry", "too-few-rows", "array"],
     )
     def test_key_json_shape_is_a_value_error(self, data, shown):
-        with pytest.raises(ValueError, match=shown.replace("(", r"\(")):
+        with pytest.raises(ValueError) as exc:
             TabKey.from_json(3, data)
+        assert shown in str(exc.value)
 
 
 class TestSingularTriple:
