@@ -1,9 +1,10 @@
 """Golden corpus: fixed CLI reports must stay byte-identical.
 
 Each case runs ``gtmodules.cli.main`` in-process and compares the sha256 of
-its stdout with the digest stored in ``golden_digests.json``.  Refactors of
-the library must leave every digest unchanged.  To record the digest of a
-newly added case, run
+its stdout with the digest stored in ``golden_digests.json``; the demo
+scripts' outputs are pinned in the same file by ``test_demos.py``.
+Refactors of the library must leave every digest unchanged.  To record the
+digest of a newly added case or demo, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -64,6 +65,7 @@ CASES = {
     "singular3-verdict-r2": ["verdict", "--radius", "2", "--base-vector", SINGULAR3],
     "singular3-irr-verdict-r2": ["verdict", "--radius", "2", "--base-vector", SINGULAR3_IRR],
     "generic3-structure-r2": ["structure", "--radius", "2", "--base-vector", GENERIC3_CHAIN],
+    "generic3-verify-r1": ["verify", "--radius", "1", "--base-vector", GENERIC3_CHAIN],
 }
 
 
@@ -83,10 +85,14 @@ def test_report_is_byte_identical(name):
 
 
 def record_missing() -> None:
+    from test_demos import DEMOS, demo_digest
+
     digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     added = []
-    for name, argv in sorted(CASES.items()):
-        digest = report_digest(argv)[1]
+    runs = [(name, lambda argv=argv: report_digest(argv)[1]) for name, argv in sorted(CASES.items())]
+    runs += [(f"demo:{script}", lambda script=script: demo_digest(script)) for script in DEMOS]
+    for name, run in runs:
+        digest = run()
         if name not in digests:
             digests[name] = digest
             added.append(name)
