@@ -13,7 +13,7 @@ from gtmodules.structure import (
     Window,
     basis_key,
     irreducibility_verdict,
-    omega_drop_audit,
+    reach_scan,
     separator,
 )
 from gtmodules.tableau import BaseVector, Shift
@@ -26,7 +26,7 @@ def main():
     win = Window(center=Shift.zero(3), radius=2, margin=1)
 
     print("=== triple-set drop audit (reducible vector) ===")
-    audit = omega_drop_audit(v_red, win.keys(v_red))
+    audit = reach_scan(v_red, win.keys(v_red), audit=True)[1]
     print(f"edges scanned: {audit.edges_scanned}")
     print(f"violations: {len(audit.violations)}  unclassified: {len(audit.unclassified)}")
     print("drop-by-one configurations:", dict(Counter(e.config for e in audit.drops)))

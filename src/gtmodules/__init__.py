@@ -42,12 +42,10 @@ from .structure import (
     basis_N_window,
     basis_key,
     irreducibility_verdict,
-    omega_drop_audit,
     omega_k_plus,
     omega_plus,
     reach_closure,
     reach_components,
-    reach_edges,
     reach_graph,
     reach_scan,
     separator,

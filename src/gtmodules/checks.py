@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .action import ModVec, act_gamma, apply_casimir_pbw, apply_e, gamma_eval
 from .ratcalc import format_rat, rf_d_pair, rf_from_linear_factors
-from .structure import basis_key, key_sort_key, omega_drop_audit, separator
+from .structure import basis_key, key_sort_key, reach_scan, separator
 from .tableau import BaseVector, Family, Kind, Shift, TabKey, classify, singular_triple
 
 __all__ = [
@@ -221,7 +221,7 @@ def check_drop_bound(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
     """Triple-set size bound along generator edges out of the given keys,
     with full classification of drop-by-one edges; the generic family
     admits no drops at all."""
-    report = omega_drop_audit(v, keys)
+    report = reach_scan(v, keys, audit=True)[1]
     failures = [{"type": "violation", **e.to_json()} for e in report.violations]
     failures.extend({"type": "unclassified", **e.to_json()} for e in report.unclassified)
     if classify(v).family is Family.GENERIC:

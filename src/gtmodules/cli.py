@@ -60,7 +60,11 @@ class InputError(ValueError):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    """Comma-separated integers; an empty field is an error, not skipped."""
+    fields = text.split(",")
+    if not all(x.strip() for x in fields):
+        raise ValueError(f"empty field in {text!r}")
+    return [int(x) for x in fields]
 
 
 def _parse_rows(text: str) -> list[list[int]]:
@@ -102,12 +106,17 @@ def _load_base_vector(args) -> BaseVector:
         anchors = [parse_rat(a) for a in args.anchors.split(",")]
         if not getattr(args, "assignment", None):
             raise InputError("--anchors requires --assignment")
-        assignment = [_parse_int_list(row) for row in args.assignment.split(";")]
+        flag, text = "--assignment", args.assignment
+        try:
+            assignment = _parse_rows(text)
+            if getattr(args, "offsets", None):
+                flag, text = "--offsets", args.offsets
+                offsets = _parse_rows(text)
+            else:
+                offsets = [[0] * len(row) for row in assignment]
+        except ValueError as exc:
+            raise InputError(f"{flag} {text!r}: {exc}") from None
         n = len(assignment)
-        if getattr(args, "offsets", None):
-            offsets = [_parse_int_list(row) for row in args.offsets.split(";")]
-        else:
-            offsets = [[0] * len(row) for row in assignment]
         return BaseVector.from_json(
             {
                 "n": n,
@@ -163,12 +172,14 @@ def _enumerate_standard(v: BaseVector) -> list[Shift]:
 
 
 def cmd_finite(args) -> tuple[dict, int]:
-    if args.weight:
-        v = BaseVector.from_weight(_parse_int_list(args.weight))
-    elif args.top_row:
-        v = BaseVector.finite(_parse_int_list(args.top_row))
-    else:
+    flag, text = ("--weight", args.weight) if args.weight else ("--top-row", args.top_row)
+    if not text:
         raise InputError("finite requires --weight or --top-row")
+    try:
+        entries = _parse_int_list(text)
+    except ValueError as exc:
+        raise InputError(f"{flag} {text!r}: {exc}") from None
+    v = BaseVector.from_weight(entries) if args.weight else BaseVector.finite(entries)
     shifts = _enumerate_standard(v)
     report = {
         "command": "finite",
@@ -195,24 +206,24 @@ def _parse_generator(n: int, text: str):
     text = text.strip()
     head, _, rest = text.partition("(")
     rest = rest.rstrip(")")
-    if "@" in rest:
-        idx_text, sep, shift_text = rest.partition(")@")
-        if not sep:
-            raise InputError(f"cannot parse generator {text!r}")
+    idx_text, sep, shift_text = rest.partition(")@")
+    if "@" in rest and not sep:
+        raise InputError(f"cannot parse generator {text!r}")
+    try:
         indices = _parse_int_list(idx_text)
-    else:
-        shift_text = None
-        indices = _parse_int_list(rest)
+        shift = _parse_shift(n, shift_text) if sep else None
+    except ValueError as exc:
+        raise InputError(f"--apply {text!r}: {exc}") from None
     if head in ("E", "c") and len(indices) == 2:
-        if shift_text is not None:
+        if shift is not None:
             raise InputError(f"{head}(i,j) takes no shift argument: {text!r}")
         if head == "E" and not all(1 <= x <= n for x in indices):
             raise InputError(f"--apply {text!r}: generator indices must lie in 1..{n}")
         return (head, indices[0], indices[1], None)
     if head == "C" and len(indices) == 2:
-        if shift_text is None:
+        if shift is None:
             raise InputError("recentred generator needs a shift: C(r,s)@rows")
-        return ("C", indices[0], indices[1], _parse_shift(n, shift_text))
+        return ("C", indices[0], indices[1], shift)
     raise InputError(f"cannot parse generator {text!r}")
 
 
@@ -328,6 +339,8 @@ def cmd_verdict(args) -> tuple[dict, int]:
 def cmd_verify(args) -> tuple[dict, int]:
     v = _load_base_vector(args)
     fam = classify(v).family
+    if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
+        raise InputError("verify requires a generic or one-singular vector")
     win = _window(args, v.n)
     suites: dict[str, dict] = {}
 

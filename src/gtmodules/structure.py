@@ -6,9 +6,11 @@ margin so that boundary truncation can only under-approximate reachability.
 The module provides the non-negative-integral-difference triple sets that
 control submodule structure, the predicted window bases of submodules and
 irreducible subquotients, separating elements of the commuting subalgebra,
-single-generator reachability with its transitive closure, the audit of how
-the triple-set size can drop along generator edges, and the irreducibility
-verdict with a reducibility witness.
+the irreducibility verdict with a reducibility witness, and the window's
+single-generator edges.  One walk over the generator summands,
+:func:`reach_scan`, gives both the reachability graph (read by its
+transitive closure and strongly connected components) and the audit of how
+the triple-set size can drop along those edges.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable
 
 from .action import (
     ModVec,
@@ -54,14 +55,12 @@ __all__ = [
     "basis_Ik_window",
     "SeparatorRecipe",
     "separator",
-    "reach_edges",
     "reach_graph",
     "reach_scan",
     "reach_closure",
     "reach_components",
     "DropEdge",
     "DropAuditReport",
-    "omega_drop_audit",
     "Verdict",
     "irreducibility_verdict",
     "neighbor_integral_pairs",
@@ -297,85 +296,57 @@ def separator(v: BaseVector, z: Shift, w: Shift) -> SeparatorRecipe:
     return SeparatorRecipe(z=z, w=w, r=r, s=s, a=a, beta=beta, k=k if beta else None)
 
 
-def _generator_labels(n: int) -> list[tuple[int, int]]:
-    """The raising and lowering generators; the diagonal E(r,r) maps a key
-    only to itself and moves nothing."""
-    gens: list[tuple[int, int]] = []
-    for r in range(1, n):
-        gens.append((r, r + 1))
-        gens.append((r + 1, r))
-    return gens
-
-
-def _fold_edges(
-    v: BaseVector,
-    key: TabKey,
-    lookup: Callable[[TabKey], TabKey | None],
-    audit: DropAuditReport | None = None,
-) -> dict[TabKey, str]:
-    """Targets of single generators on a basis key that ``lookup`` maps to a
-    window key, each with its first witnessing generator.
-
-    Each raising and lowering generator's summands are read once and summed
-    in a local dict, so targets whose summands cancel get no edge.  With
-    ``audit`` given, every summand is also scanned by that drop audit.
-    """
-    _check_key(v, key)
-    edges: dict[TabKey, str] = {}
-    size_src = len(omega_plus(v, key)) if audit is not None else 0
-    for a, b in _generator_labels(v.n):
-        acc: dict[TabKey, Fraction] = {}
-        for s0, comp_kind, tkey, coeff in _summands(v, a, b, key):
-            if audit is not None:
-                audit.scan(key, size_src, a, b, s0, comp_kind, tkey)
-            _add_term(acc, tkey, coeff)
-        for tkey in acc:
-            own = lookup(tkey)
-            if own is not None and own not in edges:
-                edges[own] = f"E({a},{b})"
-    if classify(v).family is Family.ONE_SINGULAR and key.kind is Kind.DERIVATIVE:
-        k, _i, _j = singular_triple(v)
-        out = act_gamma(v, k, 2, key, shift=key.shift)
-        for tkey in out.support():
-            own = lookup(tkey)
-            if own is not None and own not in edges:
-                edges[own] = f"C({k},2)"
-    return edges
-
-
-def reach_edges(v: BaseVector, key: TabKey, win: Window) -> dict[TabKey, str]:
-    """Window keys other than the given basis element that receive a nonzero
-    coefficient from one generator applied to it, with the first witnessing
-    generator.
-
-    Each generator's summands are summed once, as :func:`act_e` would sum
-    them, but nothing is cached.  In the one-singular family the
-    derivative-to-regular edge through the recentred level (k, 2) element
-    is included; it is the only single element of the subalgebra that moves
-    a basis vector.
-    """
-    return _fold_edges(v, key, lambda tkey: tkey if win.contains(tkey.shift) else None)
-
-
 def reach_scan(
     v: BaseVector, keys: list[TabKey], audit: bool = False
 ) -> tuple[dict[TabKey, list[TabKey]], DropAuditReport | None]:
     """Reach graph on the window keys, and with ``audit`` their drop audit,
     from one pass over the generator summands.
 
-    The graph maps each key, in the given order, to its :func:`reach_edges`
-    targets, stored as the window's own key objects.  The audit equals
-    :func:`omega_drop_audit` on the same keys, edge for edge and in order.
+    The graph maps each key, in the given order, to the other window keys
+    that receive a nonzero coefficient from one raising or lowering
+    generator applied to it, in first-seen order and stored as the window's
+    own key objects.  Each generator's summands are read once and summed in
+    a local dict, so targets whose summands cancel get no edge.  In the
+    one-singular family a derivative key also reaches the support of the
+    recentred level (k, 2) element, the only single element of the
+    subalgebra that moves a basis vector.
+
+    With ``audit``, every summand is also checked against the triple-set
+    size bound.  A size decrease of two or more is a violation; a decrease
+    of exactly one must match one of the five local configurations.  Both
+    lists must come back empty for the audit to pass (the generic family
+    admits no decrease at all).
     """
-    report = _drop_audit_report(v) if audit else None
+    cls = classify(v)
+    if audit and cls.family not in (Family.GENERIC, Family.ONE_SINGULAR):
+        raise ValueError("audit requires a generic or one-singular vector")
+    report = DropAuditReport(vector=v) if audit else None
     window = {key: key for key in keys}
-    return {key: list(_fold_edges(v, key, window.get, report)) for key in keys}, report
+    # the raising and lowering generators; the diagonal E(r,r) maps a key
+    # only to itself and moves nothing
+    gens = [(a, b) for r in range(1, v.n) for a, b in ((r, r + 1), (r + 1, r))]
+    graph: dict[TabKey, list[TabKey]] = {}
+    for key in keys:
+        _check_key(v, key)
+        targets: dict[TabKey, None] = {}
+        size_src = len(omega_plus(v, key)) if audit else 0
+        for a, b in gens:
+            acc: dict[TabKey, Fraction] = {}
+            for s0, comp_kind, tkey, coeff in _summands(v, a, b, key):
+                if report is not None:
+                    report.scan(key, size_src, a, b, s0, comp_kind, tkey)
+                _add_term(acc, tkey, coeff)
+            targets.update(dict.fromkeys(acc))
+        if cls.family is Family.ONE_SINGULAR and key.kind is Kind.DERIVATIVE:
+            k = cls.singular[0]
+            targets.update(dict.fromkeys(act_gamma(v, k, 2, key, shift=key.shift).support()))
+        graph[key] = [window[tkey] for tkey in targets if tkey in window]
+    return graph, report
 
 
 def reach_graph(v: BaseVector, win: Window) -> dict[TabKey, list[TabKey]]:
     """Single-generator reachability digraph on the window keys, in window
-    order: each key maps to the targets of :func:`reach_edges`, built by
-    :func:`reach_scan` without the drop audit."""
+    order: :func:`reach_scan` without the drop audit."""
     return reach_scan(v, win.keys(v))[0]
 
 
@@ -522,14 +493,6 @@ class DropAuditReport:
         }
 
 
-def _drop_audit_report(v: BaseVector) -> DropAuditReport:
-    """An empty audit of v; only the generic and one-singular families have
-    triple-set audits."""
-    if classify(v).family not in (Family.GENERIC, Family.ONE_SINGULAR):
-        raise ValueError("audit requires a generic or one-singular vector")
-    return DropAuditReport(vector=v)
-
-
 def _drop_config(
     v: BaseVector,
     src: TabKey,
@@ -575,24 +538,6 @@ def _drop_config(
         if k >= 2 and any(ent(k - 1, t) == p for t in range(1, k)):
             return "V"
     return None
-
-
-def omega_drop_audit(v: BaseVector, keys: list[TabKey]) -> DropAuditReport:
-    """Scan every single-generator edge out of the given window keys and
-    check the triple-set size bound.
-
-    A size decrease of two or more is a violation; a decrease of exactly
-    one must match one of the five local configurations.  Both lists must
-    come back empty for the audit to pass (the generic family admits no
-    decrease at all).
-    """
-    report = _drop_audit_report(v)
-    for key in keys:
-        size_src = len(omega_plus(v, key))
-        for a, b in _generator_labels(v.n):
-            for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key):
-                report.scan(key, size_src, a, b, s0, comp_kind, tkey)
-    return report
 
 
 @dataclass(frozen=True)

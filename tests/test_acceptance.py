@@ -28,11 +28,11 @@ from gtmodules.structure import (
     basis_N_window,
     basis_key,
     irreducibility_verdict,
-    omega_drop_audit,
     omega_k_plus,
     omega_plus,
     reach_closure,
     reach_graph,
+    reach_scan,
 )
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize, tau
 
@@ -146,10 +146,10 @@ def test_criterion_5_separation_suite(v_rem, win3_r1):
 
 
 def test_criterion_6_omega_drop_bound(v_gen3_chain, v_rem, win3):
-    rep_gen = omega_drop_audit(v_gen3_chain, win3.keys(v_gen3_chain))
+    rep_gen = reach_scan(v_gen3_chain, win3.keys(v_gen3_chain), audit=True)[1]
     assert rep_gen.ok
     assert rep_gen.drops == []
-    rep_sing = omega_drop_audit(v_rem, win3.keys(v_rem))
+    rep_sing = reach_scan(v_rem, win3.keys(v_rem), audit=True)[1]
     assert rep_sing.ok
     assert rep_sing.violations == [] and rep_sing.unclassified == []
     assert all(e.config in {"I", "II", "III", "IV", "V"} for e in rep_sing.drops)

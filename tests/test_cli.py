@@ -149,6 +149,37 @@ class TestKeyInput:
         assert report["message"] == "--center '1,0': a gl(3) shift must have 2 rows (rows 1..2), got 1"
 
 
+class TestEmptyField:
+    # an empty field in a comma list is malformed input: skipping it would
+    # read the value as a different, valid one
+    ANCHORS = ["--anchors", "1/2,1/3,1/5,1/7,1/11,1/13"]
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["singular", "--base-vector", REMARK_JSON, "--key", "DT@1,,0;0"], "--key"),
+            (["structure", "--base-vector", REMARK_JSON, "--radius", "1", "--center", "1,,0;0"], "--center"),
+            (["structure", "--base-vector", REMARK_JSON, "--radius", "1", "--center", "1,0,;0"], "--center"),
+            (["finite", "--weight", "2,,1,0"], "--weight"),
+            (["finite", "--top-row", "2,,0"], "--top-row"),
+            (["singular", "--base-vector", REMARK_JSON, "--apply", "E(1,,2)"], "--apply"),
+            (["singular", "--base-vector", REMARK_JSON, "--apply", "C(2,2)@0,,0;0"], "--apply"),
+            (["generic", *ANCHORS, "--assignment", "0,1,2;3,4,;5"], "--assignment"),
+            (["generic", *ANCHORS, "--assignment", "0,1,2;3,4;5", "--offsets", "0,0,0;0,,0;0"], "--offsets"),
+        ],
+        ids=["key", "center-inner", "center-trailing", "weight", "top-row", "apply", "apply-shift",
+             "assignment", "offsets"],
+    )
+    def test_empty_field_exit_2(self, capsys, argv, flag):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "InputError"
+        assert report["message"].startswith(f"{flag} {argv[argv.index(flag) + 1]!r}: empty field in ")
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestStructureCommand:
     def test_remark_report(self, capsys):
         code, report = run_cli(
@@ -383,6 +414,20 @@ class TestVerify:
         assert code == 0
         assert report["passed"] is True
         assert "separation" not in report["suites"]
+
+    @pytest.mark.parametrize(
+        "vector_args",
+        [
+            ["--anchors", "0", "--assignment", "0,0,0;0,0;0", "--offsets", "2,1,0;1,0;0"],
+            ["--base-vector", json.dumps({"rows": [["1/29", "2/29", "3/29", "4/29"], ["5/29", "5/29", "6/29"],
+                                                   ["6/29", "6/29"], ["7/29"]]})],
+        ],
+        ids=["finite", "unsupported"],
+    )
+    def test_other_families_rejected_up_front(self, capsys, vector_args):
+        code, report = run_cli(capsys, "verify", "--radius", "1", *vector_args)
+        assert code == 2
+        assert report == {"error": "InputError", "message": "verify requires a generic or one-singular vector"}
 
     def test_exit_code_1_on_suite_failure(self, capsys, monkeypatch):
         from gtmodules import checks

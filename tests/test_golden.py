@@ -89,10 +89,9 @@ def record_missing() -> None:
 
     digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     added = []
-    runs = [(name, lambda argv=argv: report_digest(argv)[1]) for name, argv in sorted(CASES.items())]
-    runs += [(f"demo:{script}", lambda script=script: demo_digest(script)) for script in DEMOS]
-    for name, run in runs:
-        digest = run()
+    current = {name: report_digest(argv)[1] for name, argv in CASES.items()}
+    current.update((f"demo:{script}", demo_digest(script)) for script in DEMOS)
+    for name, digest in sorted(current.items()):
         if name not in digests:
             digests[name] = digest
             added.append(name)

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 import gtmodules.action
-from gtmodules.action import ModVec, act_e, act_gamma
+from gtmodules.action import ModVec, _summands, act_e, act_gamma
 from gtmodules.cli import main
 from gtmodules.structure import (
+    DropAuditReport,
     HypothesisViolated,
     Window,
     basis_I_window,
@@ -15,12 +16,10 @@ from gtmodules.structure import (
     basis_N_window,
     basis_key,
     irreducibility_verdict,
-    omega_drop_audit,
     omega_k_plus,
     omega_plus,
     reach_closure,
     reach_components,
-    reach_edges,
     reach_graph,
     reach_scan,
 )
@@ -131,12 +130,12 @@ class TestReachability:
     def test_derivative_reaches_regular_partner(self, v_rem, win3):
         # the recentred level-(k,2) element maps each derivative tableau onto
         # its regular partner whenever the label is not swap-fixed
-        for key in win3.keys(v_rem):
+        graph = reach_graph(v_rem, win3)
+        for key in graph:
             if key.kind is not Kind.DERIVATIVE:
                 continue
             partner = TabKey(tau(v_rem, key.shift), Kind.REGULAR)
-            edges = reach_edges(v_rem, key, win3)
-            assert partner in edges
+            assert partner in graph[key]
 
     def test_diagonal_only_self_loops(self, v_rem, win3_r1):
         key = basis_key(v_rem, Shift.zero(3))
@@ -148,24 +147,25 @@ class TestReachability:
         # generic keys, and regular and derivative one-singular keys, whose
         # C(k,2) edge recentres at the source and so annihilates it
         v = request.getfixturevalue(vector)
-        labels = set()
-        for key in win3_r1.keys(v):
-            edges = reach_edges(v, key, win3_r1)
-            assert key not in edges
-            labels.update(edges.values())
-        if vector == "v_rem":
-            assert "C(2,2)" in labels
+        graph = reach_graph(v, win3_r1)
+        beyond_e = set()
+        for key, targets in graph.items():
+            assert key not in targets
+            by_e = {t for a, b in ((1, 2), (2, 1), (2, 3), (3, 2)) for t in act_e(v, a, b, key).support()}
+            beyond_e.update(t for t in targets if t not in by_e)
+        # only the C(2,2) edge of a derivative key reaches past the generators
+        assert bool(beyond_e) == (vector == "v_rem")
 
     def test_generic_edges_match_action_support(self, v_gen3, win3_r1):
+        graph = reach_graph(v_gen3, win3_r1)
         for key in win3_r1.keys(v_gen3)[:9]:
-            edges = reach_edges(v_gen3, key, win3_r1)
             expected = set()
             for r in range(1, 3):
                 for (a, b) in ((r, r + 1), (r + 1, r)):
                     for t in act_e(v_gen3, a, b, key).support():
                         if win3_r1.contains(t.shift):
                             expected.add(t)
-            assert set(edges) == expected
+            assert set(graph[key]) == expected
 
     def test_closure_reflexive_and_transitive(self, v_rem, win3_r1):
         key = basis_key(v_rem, Shift.zero(3))
@@ -191,8 +191,8 @@ class TestReachability:
 
 def act_e_reach_edges(v, key, win):
     """Reach edges read off the support of the cached act_e, each generator
-    in turn, then the C(k,2) edge of a derivative key: the route that
-    reach_edges took before it summed the generator summands itself."""
+    in turn, then the C(k,2) edge of a derivative key: the route that the
+    reach graph took before reach_scan summed the generator summands itself."""
     edges = {}
     for r in range(1, v.n):
         for a, b in ((r, r + 1), (r + 1, r)):
@@ -205,6 +205,28 @@ def act_e_reach_edges(v, key, win):
             if win.contains(tkey.shift) and tkey not in edges:
                 edges[tkey] = f"C({k},2)"
     return edges
+
+
+def omega_drop_audit(v, keys):
+    """Scan every single-generator edge out of the given window keys and
+    check the triple-set size bound.
+
+    A size decrease of two or more is a violation; a decrease of exactly
+    one must match one of the five local configurations.  Both lists must
+    come back empty for the audit to pass (the generic family admits no
+    decrease at all).
+
+    The reference route for the audit of reach_scan: it walks the summands
+    of each generator without summing them or building a graph.
+    """
+    report = DropAuditReport(vector=v)
+    for key in keys:
+        size_src = len(omega_plus(v, key))
+        for r in range(1, v.n):
+            for a, b in ((r, r + 1), (r + 1, r)):
+                for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key):
+                    report.scan(key, size_src, a, b, s0, comp_kind, tkey)
+    return report
 
 
 class TestOnePass:
@@ -230,17 +252,9 @@ class TestOnePass:
         # DropAuditReport compares its edge lists in order
         assert report == omega_drop_audit(v, keys)
 
-    def test_reach_edges_and_graph_keep_their_witnesses(self, v_rem):
-        win = self.WINDOWS["v_rem-offcentre"]
-        graph = reach_graph(v_rem, win)
-        for key in win.keys(v_rem):
-            edges = reach_edges(v_rem, key, win)
-            assert edges == act_e_reach_edges(v_rem, key, win)
-            assert list(edges) == graph[key]
-
-    def test_reach_edges_rejects_swap_fixed_derivative_key(self, v_rem, win3_r1):
+    def test_reach_scan_rejects_swap_fixed_derivative_key(self, v_rem):
         with pytest.raises(ValueError, match="swap-fixed"):
-            reach_edges(v_rem, TabKey(Shift.zero(3), Kind.DERIVATIVE), win3_r1)
+            reach_scan(v_rem, [TabKey(Shift.zero(3), Kind.DERIVATIVE)])
 
     @pytest.mark.parametrize("rows", [[["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]],
                                       [["1/7", "1/3", "1/5"], ["-6/7", "1/11"], ["8/7"]]],
@@ -264,7 +278,7 @@ class TestOnePass:
 
 class TestDropAudit:
     def test_generic_never_drops(self, v_gen3_chain, win3):
-        report = omega_drop_audit(v_gen3_chain, win3.keys(v_gen3_chain))
+        report = reach_scan(v_gen3_chain, win3.keys(v_gen3_chain), audit=True)[1]
         assert report.ok
         assert report.drops == []
         assert report.edges_scanned > 0
@@ -279,14 +293,14 @@ class TestDropAudit:
                         assert omega_plus(v_gen3_chain, t) >= om
 
     def test_remark_vector_classified(self, v_rem, win3):
-        report = omega_drop_audit(v_rem, win3.keys(v_rem))
+        report = reach_scan(v_rem, win3.keys(v_rem), audit=True)[1]
         assert report.ok
         assert report.violations == [] and report.unclassified == []
         assert {e.config for e in report.drops} == {"I", "III", "V"}
 
     def test_top_sharing_vector_classified(self, v_sing_top, win3):
         # row 3 carries the matching anchor: the raising-side patterns fire
-        report = omega_drop_audit(v_sing_top, win3.keys(v_sing_top))
+        report = reach_scan(v_sing_top, win3.keys(v_sing_top), audit=True)[1]
         assert report.ok
         configs = {e.config for e in report.drops}
         assert configs == {"II", "IV"}
@@ -333,7 +347,7 @@ class TestDropAudit:
             rows = [[q[4], q[1], q[2], q[3]], [q[4], q[5], q[4]], [q[6], q[7]], [q[8]]]
         v = BaseVector.from_rows(rows)
         win = Window(center=Shift.zero(4), radius=1, margin=1)
-        report = omega_drop_audit(v, win.keys(v))
+        report = reach_scan(v, win.keys(v), audit=True)[1]
         assert report.ok
         assert {e.config for e in report.drops} == expected
 
@@ -355,7 +369,7 @@ class TestWWStarInvariance:
     def test_drop_targets_are_local_minima(self, v_rem, win3):
         # out of any drop-by-one target, no single-generator edge decreases
         # the triple-set size further
-        report = omega_drop_audit(v_rem, win3.keys(v_rem))
+        report = reach_scan(v_rem, win3.keys(v_rem), audit=True)[1]
         assert report.drops
         for edge in report.drops:
             w = edge.target
@@ -370,7 +384,7 @@ class TestWWStarInvariance:
         # equal and strictly growing is decided entirely by the tracked
         # inequalities between the two singular entries and the matched
         # neighbor entry below them
-        report = omega_drop_audit(v_rem, win3.keys(v_rem))
+        report = reach_scan(v_rem, win3.keys(v_rem), audit=True)[1]
         checked = 0
         for edge in (e for e in report.drops if e.config == "I"):
             w = edge.target
