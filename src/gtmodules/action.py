@@ -332,23 +332,38 @@ def _gamma_from_entries(
 ) -> tuple[Fraction, Fraction]:
     """(value, half-derivative) at t = 0 of the symmetric eigenvalue sum.
 
-    Each term is (e_i + r - 1)^power times the product over other entries
-    of (e_i - e_j - 1)/(e_i - e_j); individual terms may have simple poles
-    at a coincident deformed pair, which cancel in the sum of their jets.
+    The sum over i of y_i^power prod_{j != i} (y_i - y_j - 1)/(y_i - y_j),
+    with y = e + r - 1 and e = c + m t, is minus the w^(power+1)
+    coefficient of prod_j (1 - (y_j + 1) w)/(1 - y_j w) (partial fractions
+    in w).  Each factor is 1 - w/(1 - y_j w), so the truncated series is
+    built over (value, t-derivative) pairs with no division by entry
+    differences: coincident entries, deformed or not, need no limit.
     """
-    r = len(entries)
-    terms = []
-    shift = Fraction(r - 1)
-    for idx, (ci, mi) in enumerate(entries):
-        num = [(ci + shift, mi)] * power
-        den: list[tuple[Fraction, int]] = []
-        for jdx, (cj, mj) in enumerate(entries):
-            if jdx == idx:
-                continue
-            num.append((ci - cj - 1, mi - mj))
-            den.append((ci - cj, mi - mj))
-        terms.append(rf_from_linear_factors(num, den, 1))
-    return rf_d_pair(sum(terms[1:], terms[0]))
+    top = power + 1
+    vals, ders = [Fraction(1)] + [_ZERO] * top, [_ZERO] * (top + 1)
+    for c, m in entries:
+        # S -= T, T = S w/(1 - y w): T_k = S_(k-1) + y T_(k-1) on the old S,
+        # which is the new S_(k-1) + (y + 1) T_(k-1)
+        y1 = c + len(entries)
+        tv = td = _ZERO
+        for k in range(1, top + 1):
+            tv, td = vals[k - 1] + y1 * tv, ders[k - 1] + y1 * td + m * tv
+            vals[k] -= tv
+            ders[k] -= td
+    return -vals[top], -ders[top] / 2
+
+
+# Every module-level memo cache of the package.  All are keyed on values of
+# one base vector, so the CLI empties them before each command.  The tuple
+# holds the cache objects themselves: a wrapper rebound over a module name
+# later (a tracer, a mock) must not hide a cache from the reset.
+_MEMO_CACHES = (act_e, _apply_e_key, _gamma_from_entries)
+
+
+def _clear_memo_caches() -> None:
+    """Empty every memo cache; this also resets its hit and miss counts."""
+    for cache in _MEMO_CACHES:
+        cache.cache_clear()
 
 
 def _row_entries(v: BaseVector, z: Shift, r: int) -> tuple[tuple[Fraction, int], ...]:

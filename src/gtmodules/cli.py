@@ -26,13 +26,12 @@ import json
 import sys
 
 from . import checks
-from .action import ModVec, act_gamma, apply_e
+from .action import ModVec, _clear_memo_caches, act_gamma, apply_e
 from .checks import _modvec_json
 from .ratcalc import parse_rat
 from .structure import (
     HypothesisViolated,
     Window,
-    _clear_memo_caches,
     basis_I_window,
     basis_Ik_window,
     basis_N_window,
@@ -59,16 +58,17 @@ class InputError(ValueError):
     pass
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers; an empty field is an error, not skipped."""
+def _parse_list(text: str, parse=int) -> list:
+    """Comma-separated fields read by ``parse``; an empty field is an error,
+    not skipped."""
     fields = text.split(",")
     if not all(x.strip() for x in fields):
         raise ValueError(f"empty field in {text!r}")
-    return [int(x) for x in fields]
+    return [parse(x) for x in fields]
 
 
 def _parse_rows(text: str) -> list[list[int]]:
-    return [_parse_int_list(part) for part in text.split(";")]
+    return [_parse_list(part) for part in text.split(";")]
 
 
 def _parse_shift(n: int, text: str) -> Shift:
@@ -103,11 +103,12 @@ def _load_base_vector(args) -> BaseVector:
                 data = json.load(fh)
         return BaseVector.from_json(data)
     if getattr(args, "anchors", None):
-        anchors = [parse_rat(a) for a in args.anchors.split(",")]
         if not getattr(args, "assignment", None):
             raise InputError("--anchors requires --assignment")
-        flag, text = "--assignment", args.assignment
+        flag, text = "--anchors", args.anchors
         try:
+            anchors = _parse_list(text, parse_rat)
+            flag, text = "--assignment", args.assignment
             assignment = _parse_rows(text)
             if getattr(args, "offsets", None):
                 flag, text = "--offsets", args.offsets
@@ -176,7 +177,7 @@ def cmd_finite(args) -> tuple[dict, int]:
     if not text:
         raise InputError("finite requires --weight or --top-row")
     try:
-        entries = _parse_int_list(text)
+        entries = _parse_list(text)
     except ValueError as exc:
         raise InputError(f"{flag} {text!r}: {exc}") from None
     v = BaseVector.from_weight(entries) if args.weight else BaseVector.finite(entries)
@@ -210,7 +211,7 @@ def _parse_generator(n: int, text: str):
     if "@" in rest and not sep:
         raise InputError(f"cannot parse generator {text!r}")
     try:
-        indices = _parse_int_list(idx_text)
+        indices = _parse_list(idx_text)
         shift = _parse_shift(n, shift_text) if sep else None
     except ValueError as exc:
         raise InputError(f"--apply {text!r}: {exc}") from None

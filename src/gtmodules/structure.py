@@ -17,17 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .action import (
     ModVec,
     _add_term,
-    _apply_e_key,
     _check_key,
-    _gamma_from_entries,
     _summands,
-    act_e,
     act_gamma,
     gamma_dvbar,
     gamma_eval,
@@ -143,33 +139,11 @@ class Window:
         return [basis_key(v, w) for w in self.shifts()]
 
 
-@lru_cache(maxsize=None)
-def _omega_plus_shift(v: BaseVector, w: Shift) -> frozenset[Triple]:
-    return frozenset(
-        (r, s, t)
-        for r, s, t in neighbor_integral_pairs(v)
-        if (v.entry(r, s) + w.get(r, s)) - (v.entry(r - 1, t) + w.get(r - 1, t)) >= 0
-    )
-
-
-# Every module-level memo cache of the package.  All are keyed on values of
-# one base vector, so the CLI empties them before each command.  The tuple
-# holds the cache objects themselves: a wrapper rebound over a module name
-# later (a tracer, a mock) must not hide a cache from the reset.
-_MEMO_CACHES = (act_e, _apply_e_key, _gamma_from_entries, _omega_plus_shift)
-
-
-def _clear_memo_caches() -> None:
-    """Empty every memo cache; this also resets its hit and miss counts."""
-    for cache in _MEMO_CACHES:
-        cache.cache_clear()
-
-
 def omega_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
     """Triples (r, s, t) whose row-r entry exceeds the row-(r-1) entry by a
     non-negative integer; anchor equality decides integrality exactly."""
     w = key.shift if isinstance(key, TabKey) else key
-    return _omega_plus_shift(v, w)
+    return frozenset((r, s, t) for r, s, t in v.integral_pairs if v.int_diff(w, r, s, r - 1, t) >= 0)
 
 
 def omega_k_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
@@ -515,27 +489,26 @@ def _drop_config(
     k, i, j = cls.singular
     z = src.shift
 
-    def ent(r: int, s: int) -> Fraction:
-        return v.entry(r, s) + z.get(r, s)
+    def equal(r: int, s: int, q: int, t: int) -> bool:
+        return v.int_diff(z, r, s, q, t) == 0
 
-    p, q = ent(k, i), ent(k, j)
     if src.kind is Kind.DERIVATIVE:
-        if row == k - 1 and direction > 0 and ent(k - 1, s0) in (p, q):
+        if row == k - 1 and direction > 0 and (equal(k - 1, s0, k, i) or equal(k - 1, s0, k, j)):
             return "I"
         if row == k and direction > 0 and s0 in (i, j):
-            if any(ent(k + 1, t) == ent(k, s0) for t in range(1, k + 2)):
+            if any(equal(k + 1, t, k, s0) for t in range(1, k + 2)):
                 return "II"
         if row == k and direction < 0 and s0 in (i, j):
-            if k >= 2 and any(ent(k - 1, t) == ent(k, s0) for t in range(1, k)):
+            if k >= 2 and any(equal(k - 1, t, k, s0) for t in range(1, k)):
                 return "III"
         return None
-    if p != q:
+    if not equal(k, i, k, j):
         return None
     if row == k and direction > 0 and s0 in (i, j):
-        if any(ent(k + 1, t) == p for t in range(1, k + 2)):
+        if any(equal(k + 1, t, k, i) for t in range(1, k + 2)):
             return "IV"
     if row == k and direction < 0 and s0 in (i, j):
-        if k >= 2 and any(ent(k - 1, t) == p for t in range(1, k)):
+        if k >= 2 and any(equal(k - 1, t, k, i) for t in range(1, k)):
             return "V"
     return None
 
@@ -569,13 +542,9 @@ class Verdict:
 
 
 def neighbor_integral_pairs(v: BaseVector) -> tuple[Triple, ...]:
-    out = []
-    for r in range(2, v.n + 1):
-        for s in range(1, r + 1):
-            for t in range(1, r):
-                if v.anchor_index(r, s) == v.anchor_index(r - 1, t):
-                    out.append((r, s, t))
-    return tuple(out)
+    """Triples (r, s, t) whose entries at (r, s) and (r-1, t) differ by an
+    integer, as stored on the vector."""
+    return v.integral_pairs
 
 
 def irreducibility_verdict(v: BaseVector, win: Window) -> Verdict:

@@ -181,7 +181,9 @@ class BaseVector:
     integral pair is reached by shifting the basis label instead.
 
     The family the vector supports is decided once, on construction, and
-    kept in ``classification`` (see :func:`classify`).
+    kept in ``classification`` (see :func:`classify`); so are the
+    neighbouring-row integral pairs, in ``integral_pairs``: the triples
+    (r, s, t) whose positions (r, s) and (r-1, t) share an anchor.
     """
 
     n: int
@@ -189,6 +191,7 @@ class BaseVector:
     assignment: tuple[tuple[int, ...], ...]
     offsets: tuple[tuple[int, ...], ...]
     classification: Classification = field(init=False, repr=False, compare=False)
+    integral_pairs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (2 <= self.n <= N_CAP):
@@ -230,9 +233,20 @@ class BaseVector:
             else:
                 cls = Classification(Family.UNSUPPORTED)
         object.__setattr__(self, "classification", cls)
+        object.__setattr__(self, "integral_pairs", tuple(
+            (r, s, t) for r in range(2, self.n + 1) for s in range(1, r + 1) for t in range(1, r)
+            if self.assignment[r - 1][s - 1] == self.assignment[r - 2][t - 1]
+        ))
 
     def entry(self, r: int, s: int) -> Fraction:
         return self.anchors[self.assignment[r - 1][s - 1]] + self.offsets[r - 1][s - 1]
+
+    def int_diff(self, w: Shift, r: int, s: int, q: int, t: int) -> int | None:
+        """entry(r, s) - entry(q, t) of the tableau shifted by w: an int when
+        the two positions share an anchor, else None (not an integer)."""
+        if self.assignment[r - 1][s - 1] != self.assignment[q - 1][t - 1]:
+            return None
+        return self.offsets[r - 1][s - 1] + w.get(r, s) - self.offsets[q - 1][t - 1] - w.get(q, t)
 
     def anchor_index(self, r: int, s: int) -> int:
         return self.assignment[r - 1][s - 1]
@@ -369,14 +383,11 @@ def is_standard(v: BaseVector, w: Shift) -> bool:
     """
     for k in range(2, v.n + 1):
         for i in range(1, k):
-            upper = v.entry(k, i) + w.get(k, i)
-            lower = v.entry(k - 1, i) + w.get(k - 1, i)
-            right = v.entry(k, i + 1) + w.get(k, i + 1)
-            d1 = upper - lower
-            if d1.denominator != 1 or d1 < 0:
+            d1 = v.int_diff(w, k, i, k - 1, i)
+            if d1 is None or d1 < 0:
                 return False
-            d2 = lower - right
-            if d2.denominator != 1 or d2 <= 0:
+            d2 = v.int_diff(w, k - 1, i, k, i + 1)
+            if d2 is None or d2 <= 0:
                 return False
     return True
 

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from gtmodules.action import _gamma_from_entries, _row_entries, act_e
+from gtmodules.action import _MEMO_CACHES, _gamma_from_entries, _row_entries, act_e
 from gtmodules.cli import main
-from gtmodules.structure import _MEMO_CACHES, _omega_plus_shift, basis_key
+from gtmodules.structure import basis_key
 from gtmodules.tableau import BaseVector, Shift
 
 
@@ -166,9 +166,11 @@ class TestEmptyField:
             (["singular", "--base-vector", REMARK_JSON, "--apply", "C(2,2)@0,,0;0"], "--apply"),
             (["generic", *ANCHORS, "--assignment", "0,1,2;3,4,;5"], "--assignment"),
             (["generic", *ANCHORS, "--assignment", "0,1,2;3,4;5", "--offsets", "0,0,0;0,,0;0"], "--offsets"),
+            (["generic", "--anchors", "1/2,,1/5,1/7,1/11,1/13", "--assignment", "0,1,2;3,4;5"], "--anchors"),
+            (["generic", "--anchors", "1/2,1/3,1/5,1/7,1/11,1/13,", "--assignment", "0,1,2;3,4;5"], "--anchors"),
         ],
         ids=["key", "center-inner", "center-trailing", "weight", "top-row", "apply", "apply-shift",
-             "assignment", "offsets"],
+             "assignment", "offsets", "anchors-inner", "anchors-trailing"],
     )
     def test_empty_field_exit_2(self, capsys, argv, flag):
         code = main(argv)
@@ -240,19 +242,21 @@ class TestVerdictCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "vector_args",
+        "vector_args,error,prefix",
         [
-            ["--anchors", "1/0,1/7", "--assignment", "0,0,0;1,1;1"],
-            ["--base-vector", json.dumps({"rows": [["1/0", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]]})],
+            (["--anchors", "1/0,1/7", "--assignment", "0,0,0;1,1;1"], "InputError", "--anchors '1/0,1/7': "),
+            (["--base-vector", json.dumps({"rows": [["1/0", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]]})],
+             "ValueError", ""),
         ],
         ids=["anchors", "rows"],
     )
-    def test_zero_denominator_exit_2(self, capsys, vector_args):
+    def test_zero_denominator_exit_2(self, capsys, vector_args, error, prefix):
         code = main(["verdict", *vector_args])
         captured = capsys.readouterr()
         assert code == 2
         report = json.loads(captured.out)
-        assert report["error"] == "ValueError"
+        assert report["error"] == error
+        assert report["message"].startswith(prefix)
         assert "'1/0'" in report["message"]
         assert "Traceback" not in captured.out + captured.err
 
@@ -327,7 +331,7 @@ class TestVerdictCommand:
 
 class TestMemoLifetime:
     # two one-singular gl(3) vectors with no entry in common; verify fills
-    # all four memo caches
+    # all three memo caches
     FIRST = REMARK_JSON
     SECOND = json.dumps({"rows": [["2/3", "1/4", "1/6"], ["1/9", "1/9"], ["1/11"]]})
 
@@ -354,7 +358,6 @@ class TestMemoLifetime:
         probes = [
             (act_e, (v, 1, 2, basis_key(v, Shift.zero(3)))),
             (_gamma_from_entries, (_row_entries(v, derivative, 2), 2)),
-            (_omega_plus_shift, (v, derivative)),
         ]
         assert all(self.cached(cache, *args) for cache, args in probes)
 
@@ -370,13 +373,12 @@ class TestMemoLifetime:
     def test_reset_ignores_rebound_names(self, capsys, monkeypatch):
         # a wrapper bound over a cached function's module names (as a span
         # tracer does) has no cache_clear; the reset must still find the cache
-        from gtmodules import action, structure
+        from gtmodules import action
 
         def wrapper(*args):
             return act_e(*args)
 
         monkeypatch.setattr(action, "act_e", wrapper)
-        monkeypatch.setattr(structure, "act_e", wrapper)
         self.verify(capsys, self.FIRST)
         assert act_e.cache_info().currsize > 0
         self.verify(capsys, self.SECOND)
@@ -406,6 +408,14 @@ class TestVerify:
             "separation",
             "omega_drop_bound",
         }
+
+    def test_equal_top_row_entries_pass(self, capsys):
+        # the eigenvalues are polynomials in the row entries, so two equal
+        # top-row entries are no pole for the gamma-coherence suite
+        vector = json.dumps({"rows": [["1/2", "1/2", "1/5"], ["1/7", "1/7"], ["1/7"]]})
+        code, report = run_cli(capsys, "verify", "--radius", "1", "--base-vector", vector)
+        assert code == 0
+        assert report["passed"] is True
 
     def test_generic_vector_suites(self, capsys):
         code, report = run_cli(

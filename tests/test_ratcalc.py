@@ -311,3 +311,33 @@ class TestJetAgainstOracle:
                         den = [(ci - cj, mi - mj) for cj, mj in others]
                         total = total + oracle.rf_from_linear_factors(num, den)
                     assert _gamma_from_entries(entries, power) == oracle.rf_d_pair(total)
+
+    def test_gamma_from_entries_random_rows(self):
+        # rows of gl(1)..gl(5) with distinct entries, some with a deformed
+        # coincident pair c + t, c - t, against the defining sum; the same
+        # row with the pair undeformed must give the same value, since the
+        # eigenvalue is a polynomial in the entries
+        rng = random.Random(1612)
+        coincident = 0
+        for _ in range(400):
+            r = rng.randint(1, 5)
+            values = rng.sample(sorted({F(a, b) for a in range(-6, 7) for b in (1, 3, 7)}), r)
+            slopes = [0] * r
+            if r >= 2 and rng.random() < 0.5:
+                i, j = rng.sample(range(r), 2)
+                values[j], slopes[i], slopes[j] = values[i], 1, -1
+            entries = tuple(zip(values, slopes))
+            power = rng.randint(1, r)
+            total = oracle.RF_ZERO
+            for idx, (ci, mi) in enumerate(entries):
+                others = [e for jdx, e in enumerate(entries) if jdx != idx]
+                num = [(ci + r - 1, mi)] * power + [(ci - cj - 1, mi - mj) for cj, mj in others]
+                den = [(ci - cj, mi - mj) for cj, mj in others]
+                total = total + oracle.rf_from_linear_factors(num, den)
+            value, half = _gamma_from_entries(entries, power)
+            assert (value, half) == oracle.rf_d_pair(total), entries
+            if any(slopes):
+                coincident += 1
+                flat = tuple((c, 0) for c in values)
+                assert _gamma_from_entries(flat, power) == (value, 0)
+        assert coincident > 100
