@@ -16,7 +16,7 @@ from typing import Sequence
 from .action import ModVec, act_gamma, apply_casimir_pbw, apply_e, gamma_eval
 from .ratcalc import format_rat, rf_d_pair, rf_from_linear_factors
 from .structure import basis_key, key_sort_key, reach_scan, separator
-from .tableau import BaseVector, Family, Kind, Shift, TabKey, classify, singular_triple
+from .tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize, classify, singular_triple
 
 __all__ = [
     "commutator",
@@ -190,8 +190,6 @@ def check_separation(
     """Separator recipes annihilate both tableaux at z and fix the basis
     element at w, for ordered pairs of the given labels that are not
     swap-related."""
-    from .tableau import canonicalize
-
     k, i, j = singular_triple(v)
     pairs = [
         (z, w)

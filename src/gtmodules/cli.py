@@ -16,14 +16,17 @@ rows from row n-1 down to row 1, e.g. ``[[0, 0], [1]]`` for gl(3); the
 compact command-line form is semicolon-separated rows ``"0,0;1"``.  Basis
 keys are ``{"shift": ..., "kind": "T"|"DT"}``.
 
-Exit codes: 0 success, 1 failed verification, 2 malformed input.
+Exit codes: 0 success, 1 failed verification, 2 malformed input, 141 when
+the reader of stdout closed it before the report was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import product
 
 from . import checks
 from .action import ModVec, _clear_memo_caches, act_gamma, apply_e
@@ -92,6 +95,9 @@ def _parse_key(n: int, text: str) -> TabKey:
 
 def _load_base_vector(args) -> BaseVector:
     if getattr(args, "base_vector", None):
+        conflicts = [flag for flag in ("anchors", "assignment", "offsets") if getattr(args, flag, None)]
+        if conflicts:
+            raise InputError(f"--base-vector conflicts with --{', --'.join(conflicts)}; give one or the other")
         text = args.base_vector
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -130,6 +136,10 @@ def _load_base_vector(args) -> BaseVector:
 
 
 def _window(args, n: int) -> Window:
+    if args.radius < 1:
+        raise InputError(f"--radius {args.radius}: the window radius must be at least 1")
+    if not 0 <= args.margin <= args.radius:
+        raise InputError(f"--margin {args.margin}: the margin must lie between 0 and --radius {args.radius}")
     try:
         center = _parse_shift(n, args.center) if args.center else Shift.zero(n)
     except ValueError as exc:
@@ -146,8 +156,6 @@ def _enumerate_standard(v: BaseVector) -> list[Shift]:
     down-left neighbor, which is exactly the interlacing condition.  The
     lower rows of the base vector are zero, so enumerated rows are shifts.
     """
-    from itertools import product as _product
-
     n = v.n
     top = [int(v.entry(n, s)) for s in range(1, n + 1)]
     if any(top[idx] - top[idx + 1] < 1 for idx in range(n - 1)):
@@ -161,7 +169,7 @@ def _enumerate_standard(v: BaseVector) -> list[Shift]:
             complete.append(rows_desc)
             return
         choices = [range(upper[idx + 1] + 1, upper[idx] + 1) for idx in range(m)]
-        for combo in _product(*choices):
+        for combo in product(*choices):
             rec(rows_desc + [tuple(combo)])
 
     rec([tuple(top)])
@@ -338,6 +346,8 @@ def cmd_verdict(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.sample < 0:
+        raise InputError(f"--sample {args.sample}: the number of sampled pairs must be at least 0")
     v = _load_base_vector(args)
     fam = classify(v).family
     if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
@@ -444,12 +454,16 @@ def main(argv=None) -> int:
     try:
         report, code = args.func(args)
     except (InputError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(err, indent=2))
-        return 2
-    text = json.dumps(report, indent=2, sort_keys=False)
-    print(text)
-    if getattr(args, "json_out", None):
+        report, code = {"error": type(exc).__name__, "message": str(exc)}, 2
+    text = json.dumps(report, indent=2)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # exit cannot fail again, and exit as a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    if code != 2 and getattr(args, "json_out", None):  # error reports go to stdout only
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return code

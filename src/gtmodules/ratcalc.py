@@ -10,9 +10,8 @@ simple poles cancel them and keep its half-derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Rat = Fraction
 
@@ -48,8 +47,7 @@ def format_rat(x: Rat) -> str:
     return str(x)
 
 
-@dataclass(frozen=True, slots=True)
-class Jet:
+class Jet(NamedTuple):
     """t^order (a0 + a1 t + a2 t^2) + O(t^(order + 3)), exactly.  The only
     operation is +, which keeps the lower order and that summand's precision."""
 

@@ -15,9 +15,9 @@ the triple-set size can drop along those edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .action import (
     ModVec,
@@ -92,19 +92,23 @@ def basis_key(v: BaseVector, w: Shift) -> TabKey:
     return TabKey(w, Kind.REGULAR)
 
 
-@dataclass(frozen=True)
-class Window:
-    """L-infinity box of shifts around a center, with an interior margin."""
-
+class _WindowFields(NamedTuple):
     center: Shift
     radius: int
     margin: int = 1
 
-    def __post_init__(self):
-        if self.radius < 1:
+
+class Window(_WindowFields):
+    """L-infinity box of shifts around a center, with an interior margin."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: Shift, radius: int, margin: int = 1) -> "Window":
+        if radius < 1:
             raise ValueError("radius must be >= 1")
-        if not (0 <= self.margin <= self.radius):
+        if not (0 <= margin <= radius):
             raise ValueError("margin must lie between 0 and radius")
+        return tuple.__new__(cls, (center, radius, margin))
 
     def shifts(self) -> list[Shift]:
         n = self.center.n
@@ -186,8 +190,7 @@ def basis_Ik_window(v: BaseVector, key0: TabKey, keys: list[TabKey]) -> set[TabK
     return {kk for kk in keys if omega_k_plus(v, kk) == base}
 
 
-@dataclass(frozen=True)
-class SeparatorRecipe:
+class SeparatorRecipe(NamedTuple):
     """Element of the commuting subalgebra that annihilates both tableaux at
     z and fixes the basis element at w.
 
@@ -400,8 +403,7 @@ def reach_components(graph: dict[TabKey, list[TabKey]]) -> list[frozenset[TabKey
     return sorted(components, key=lambda c: (-len(c), min(key_sort_key(k) for k in c)))
 
 
-@dataclass(frozen=True)
-class DropEdge:
+class DropEdge(NamedTuple):
     source: TabKey
     generator: str
     target: TabKey
@@ -419,13 +421,18 @@ class DropEdge:
         }
 
 
-@dataclass
 class DropAuditReport:
-    vector: BaseVector
-    edges_scanned: int = 0
-    violations: list[DropEdge] = field(default_factory=list)
-    drops: list[DropEdge] = field(default_factory=list)
-    unclassified: list[DropEdge] = field(default_factory=list)
+    def __init__(self, vector: BaseVector):
+        self.vector = vector
+        self.edges_scanned = 0
+        self.violations: list[DropEdge] = []
+        self.drops: list[DropEdge] = []
+        self.unclassified: list[DropEdge] = []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -513,8 +520,7 @@ def _drop_config(
     return None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # "irreducible" or "reducible"
     neighbor_integral_pairs: tuple[Triple, ...]
     witness: Shift | None = None

@@ -17,9 +17,8 @@ folded into :func:`canonicalize`, so only canonical labels circulate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .ratcalc import format_rat, parse_rat
 
@@ -51,8 +50,7 @@ class Family(enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     family: Family
     singular: tuple[int, int, int] | None = None  # (k, i, j), i < j, in row k
 
@@ -62,24 +60,27 @@ class Kind(enum.Enum):
     DERIVATIVE = "DT"
 
 
-@dataclass(frozen=True)
-class Shift:
+class _ShiftFields(NamedTuple):
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+
+
+class Shift(_ShiftFields):
     """Integer shift of the tableau rows 1..n-1; the top row never moves.
 
     rows[r-1] holds row r (length r), ordered bottom row last in the JSON
     form but stored here ascending by row index.
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != self.n - 1:
-            m = self.n - 1
-            raise ValueError(f"a gl({self.n}) shift must have {m} rows (rows 1..{m}), got {len(self.rows)}")
-        for r, row in enumerate(self.rows, start=1):
+    def __new__(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Shift":
+        if len(rows) != n - 1:
+            raise ValueError(f"a gl({n}) shift must have {n - 1} rows (rows 1..{n - 1}), got {len(rows)}")
+        for r, row in enumerate(rows, start=1):
             if len(row) != r:
                 raise ValueError(f"row {r} of shift must have {r} entries")
+        return tuple.__new__(cls, (n, rows))
 
     @classmethod
     def zero(cls, n: int) -> "Shift":
@@ -140,8 +141,7 @@ class Shift:
         return cls(n, tuple(tuple(_json_int(x) for x in row) for row in reversed(data)))
 
 
-@dataclass(frozen=True)
-class TabKey:
+class TabKey(NamedTuple):
     shift: Shift
     kind: Kind
 
@@ -168,7 +168,6 @@ def _frac_part(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-@dataclass(frozen=True)
 class BaseVector:
     """The fixed vector of the module: anchored rationals at each position.
 
@@ -183,17 +182,18 @@ class BaseVector:
     The family the vector supports is decided once, on construction, and
     kept in ``classification`` (see :func:`classify`); so are the
     neighbouring-row integral pairs, in ``integral_pairs``: the triples
-    (r, s, t) whose positions (r, s) and (r-1, t) share an anchor.
+    (r, s, t) whose positions (r, s) and (r-1, t) share an anchor.  Both are
+    derived, so equality, hashing and repr read only the four fields; no
+    attribute can be assigned after construction.
     """
 
-    n: int
-    anchors: tuple[Fraction, ...]
-    assignment: tuple[tuple[int, ...], ...]
-    offsets: tuple[tuple[int, ...], ...]
-    classification: Classification = field(init=False, repr=False, compare=False)
-    integral_pairs: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "anchors", "assignment", "offsets", "classification", "integral_pairs")
+    classification: Classification
+    integral_pairs: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, n: int, anchors: tuple[Fraction, ...], assignment: tuple, offsets: tuple):
+        for name, value in zip(self.__slots__, (n, anchors, assignment, offsets)):
+            object.__setattr__(self, name, value)
         if not (2 <= self.n <= N_CAP):
             raise ValueError(f"n must be between 2 and {N_CAP}")
         if len(self.assignment) != self.n or len(self.offsets) != self.n:
@@ -237,6 +237,25 @@ class BaseVector:
             (r, s, t) for r in range(2, self.n + 1) for s in range(1, r + 1) for t in range(1, r)
             if self.assignment[r - 1][s - 1] == self.assignment[r - 2][t - 1]
         ))
+
+    def _values(self) -> tuple:
+        return (self.n, self.anchors, self.assignment, self.offsets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.anchors, self.assignment, self.offsets))
+
+    def __repr__(self) -> str:
+        return "BaseVector(n={!r}, anchors={!r}, assignment={!r}, offsets={!r})".format(*self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"BaseVector is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def entry(self, r: int, s: int) -> Fraction:
         return self.anchors[self.assignment[r - 1][s - 1]] + self.offsets[r - 1][s - 1]

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gtmodules.action import _MEMO_CACHES, _gamma_from_entries, _row_entries, act_e
 from gtmodules.cli import main
-from gtmodules.structure import basis_key
+from gtmodules.structure import Window, basis_key
 from gtmodules.tableau import BaseVector, Shift
 
 
@@ -180,6 +184,66 @@ class TestEmptyField:
         assert report["error"] == "InputError"
         assert report["message"].startswith(f"{flag} {argv[argv.index(flag) + 1]!r}: empty field in ")
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestFlagChecks:
+    @pytest.mark.parametrize(
+        "extra,named",
+        [
+            (["--anchors", "1/3"], "--anchors"),
+            (["--assignment", "9;9"], "--assignment"),
+            (["--offsets", "junk"], "--offsets"),
+            (["--anchors", "1/3", "--offsets", "junk", "--assignment", "9;9"], "--anchors, --assignment, --offsets"),
+        ],
+        ids=["anchors", "assignment", "offsets", "all"],
+    )
+    def test_base_vector_with_anchor_flags_exit_2(self, capsys, extra, named):
+        # the JSON vector and the anchor flags are two answers to one
+        # question: reading one and ignoring the other would hide a mistake
+        code, report = run_cli(capsys, "verdict", "--radius", "1", "--base-vector", REMARK_JSON, *extra)
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"].startswith(f"--base-vector conflicts with {named};")
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--radius", "1", "--sample", "-3"], "--sample -3: "),
+            (["verify", "--radius", "0"], "--radius 0: "),
+            (["verdict", "--radius", "0"], "--radius 0: "),
+            (["structure", "--radius", "1", "--margin", "3"], "--margin 3: "),
+            (["structure", "--radius", "2", "--margin", "-1"], "--margin -1: "),
+        ],
+        ids=["sample", "verify-radius", "verdict-radius", "margin-above", "margin-negative"],
+    )
+    def test_numeric_flags_checked_before_any_work(self, capsys, monkeypatch, argv, flag):
+        def enumerated(self):
+            raise AssertionError("the window was enumerated before the flags were checked")
+
+        monkeypatch.setattr(Window, "shifts", enumerated)
+        code, report = run_cli(capsys, *argv, "--base-vector", REMARK_JSON)
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"].startswith(flag)
+
+
+class TestClosedStdout:
+    def test_exits_141_silently(self):
+        # the reader of stdout is gone before the report is written, as in
+        # `gtmodules finite --weight 2,1,0 | true`
+        run = "import sys; sys.path.insert(0, sys.argv[1]); from gtmodules.cli import main; sys.exit(main(sys.argv[2:]))"
+        src = Path(__file__).resolve().parent.parent / "src"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-I", "-c", run, str(src), "finite", "--weight", "2,1,0"],
+                stdout=w, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(w)
+        assert done.returncode == 141
+        assert done.stderr == b""
 
 
 class TestStructureCommand:
