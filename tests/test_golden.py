@@ -55,6 +55,12 @@ CASES = {
     "singular4-apply": [
         "singular", "--base-vector", SINGULAR4, "--apply", "E(1,3) E(3,2)", "--key", "DT@0,0,0;1,0;0",
     ],
+    # the singular4-structure benchmark's first seed-0 vector: 486 drop-by-one
+    # edges in a 329 KB report, the largest drop audit in the corpus
+    "singular4-drops-structure-r1": [
+        "structure", "--radius", "1",
+        "--anchors", "25/29,14/29,2/29,9/29,17/29,16/29,13/29,10/29", "--assignment", "0,1,2,3;4,5,6;7,7;7",
+    ],
     "singular3-verify-r1": ["verify", "--radius", "1", "--base-vector", SINGULAR3],
     "singular3-structure-r2": ["structure", "--radius", "2", "--base-vector", SINGULAR3],
     # off-centre window and a derivative focus key: targets are looked up in a
