@@ -189,16 +189,32 @@ def check_separation(
 ) -> list[dict]:
     """Separator recipes annihilate both tableaux at z and fix the basis
     element at w, for ordered pairs of the given labels that are not
-    swap-related."""
+    swap-related.
+
+    With ``sample``, a seeded draw of that many pairs is checked, in draw
+    order.  The pairs are counted and the draw is made on their positions
+    in z-major order, so no list of all pairs is built; the draw picks the
+    same pairs as sampling that list would.
+    """
     k, i, j = singular_triple(v)
-    pairs = [
-        (z, w)
-        for z in shifts
-        for w in shifts
-        if w != z and w != z.swap(k, i, j)
-    ]
-    if sample is not None and sample < len(pairs):
-        pairs = random.Random(seed).sample(pairs, sample)
+    swapped = [(z, z.swap(k, i, j)) for z in shifts]
+
+    def all_pairs():
+        for z, zs in swapped:
+            for w in shifts:
+                if w != z and w != zs:
+                    yield z, w
+
+    pairs = all_pairs()
+    if sample is not None:
+        total = sum(1 for _ in all_pairs())
+        if sample < total:
+            order = {pos: rank for rank, pos in enumerate(random.Random(seed).sample(range(total), sample))}
+            picked = [None] * sample
+            for pos, pair in enumerate(pairs):
+                if pos in order:
+                    picked[order[pos]] = pair
+            pairs = picked
     failures = []
     for z, w in pairs:
         recipe = separator(v, z, w)

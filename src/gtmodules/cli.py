@@ -326,7 +326,9 @@ def cmd_structure(args) -> tuple[dict, int]:
             report["basis_Ik_window_size"] = len(basis_Ik_window(v, key, keys))
         except HypothesisViolated as exc:
             report["basis_Ik_window_error"] = str(exc)
-        report["drop_audit"] = audit.to_json()
+        # the audit object itself: each edge becomes a dict only while the
+        # report is written (see _write_report)
+        report["drop_audit"] = audit
     return report, 0
 
 
@@ -444,6 +446,39 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Reports are indented JSON; objects the encoder does not know (the drop
+# audit and its edges) are asked for their report form as they are reached.
+_ENCODER = json.JSONEncoder(indent=2, default=lambda o: o.to_json())
+
+# Characters per write.  The indenting encoder yields tens of thousands of
+# short chunks for a large report.  Joining them all, as json.dumps does,
+# holds every chunk and then the whole text; writing each chunk alone keeps
+# them all alive in a capturing io.StringIO, which joins its writes only on
+# getvalue().  Joined a block at a time, one block of text is held.
+BLOCK_CHARS = 16384
+
+
+def _write_report(report, sinks: list) -> None:
+    """Write the report and a final newline to every sink, in blocks of at
+    most BLOCK_CHARS characters (a single longer chunk goes out alone)."""
+    block: list[str] = []
+    size = 0
+    for chunk in _ENCODER.iterencode(report):
+        if size + len(chunk) > BLOCK_CHARS and block:
+            text = "".join(block)
+            for out in sinks:
+                out.write(text)
+            block.clear()
+            size = 0
+        block.append(chunk)
+        size += len(chunk)
+    block.append("\n")
+    text = "".join(block)
+    for out in sinks:
+        out.write(text)
+        out.flush()
+
+
 def main(argv=None) -> int:
     # Memo entries are keyed on one command's base vector.  Emptying them on
     # entry, not on exit, holds a long-lived caller to one command's entries
@@ -451,21 +486,30 @@ def main(argv=None) -> int:
     _clear_memo_caches()
     parser = build_parser()
     args = parser.parse_args(argv)
+    sinks = [sys.stdout]
     try:
         report, code = args.func(args)
+        if getattr(args, "json_out", None):  # error reports go to stdout only
+            # opened before stdout gets a byte, so that a bad path leaves
+            # stdout with the error report alone
+            try:
+                sinks.append(open(args.json_out, "w", encoding="utf-8"))
+            except OSError as exc:
+                raise InputError(f"--json-out {args.json_out!r}: {exc.strerror}") from None
     except (InputError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         report, code = {"error": type(exc).__name__, "message": str(exc)}, 2
-    text = json.dumps(report, indent=2)
     try:
-        print(text, flush=True)
+        _write_report(report, sinks)
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull so that the flush at
         # exit cannot fail again, and exit as a process killed by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    if code != 2 and getattr(args, "json_out", None):  # error reports go to stdout only
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        code = 141
+    finally:
+        for fh in sinks[1:]:
+            fh.close()
+    if code == 141 and len(sinks) > 1:  # the file holds part of the report at most
+        os.remove(args.json_out)
     return code
 
 

@@ -228,22 +228,40 @@ class TestFlagChecks:
 
 
 class TestClosedStdout:
-    def test_exits_141_silently(self):
-        # the reader of stdout is gone before the report is written, as in
-        # `gtmodules finite --weight 2,1,0 | true`
+    @staticmethod
+    def run_closed(*argv):
+        """Run the CLI in a child process whose stdout has no reader."""
         run = "import sys; sys.path.insert(0, sys.argv[1]); from gtmodules.cli import main; sys.exit(main(sys.argv[2:]))"
         src = Path(__file__).resolve().parent.parent / "src"
         r, w = os.pipe()
         os.close(r)
         try:
-            done = subprocess.run(
-                [sys.executable, "-I", "-c", run, str(src), "finite", "--weight", "2,1,0"],
+            return subprocess.run(
+                [sys.executable, "-I", "-c", run, str(src), *argv],
                 stdout=w, stderr=subprocess.PIPE, timeout=60,
             )
         finally:
             os.close(w)
+
+    def test_exits_141_silently(self):
+        # the reader of stdout is gone before the report is written, as in
+        # `gtmodules finite --weight 2,1,0 | true`
+        done = self.run_closed("finite", "--weight", "2,1,0")
         assert done.returncode == 141
         assert done.stderr == b""
+
+    def test_multi_block_report_exits_141_silently(self):
+        # a 31 KB report, written in more than one block
+        done = self.run_closed("structure", "--radius", "2", "--center", "1,0;0", "--base-vector", REMARK_JSON)
+        assert done.returncode == 141
+        assert done.stderr == b""
+
+    def test_leaves_no_partial_json_out(self, tmp_path):
+        path = tmp_path / "report.json"
+        done = self.run_closed("finite", "--weight", "2,1,0", "--json-out", str(path))
+        assert done.returncode == 141
+        assert done.stderr == b""
+        assert not path.exists()
 
 
 class TestStructureCommand:
@@ -533,6 +551,31 @@ class TestRoundTrip:
         )
         assert code == 0
         assert json.loads(path.read_text())["dimension"] == 2
+
+    def test_json_out_is_byte_identical_to_stdout(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        argv = ["structure", "--radius", "2", "--center", "1,0;0", "--base-vector", REMARK_JSON]
+        assert main([*argv, "--json-out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(out) > 20000  # more than one block
+        assert path.read_text(encoding="utf-8") == out
+
+    def test_unwritable_json_out_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, report = run_cli(capsys, "finite", "--weight", "2,1,0", "--json-out", str(path))
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"].startswith("--json-out ")
+        assert not path.parent.exists()
+
+    def test_error_report_not_written_to_json_out(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, report = run_cli(
+            capsys, "structure", "--radius", "0", "--base-vector", REMARK_JSON, "--json-out", str(path)
+        )
+        assert code == 2
+        assert report["message"].startswith("--radius")
+        assert not path.exists()
 
     def test_reports_deterministic(self, capsys):
         def grab(*argv):

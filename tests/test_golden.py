@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from gtmodules.cli import main
+from gtmodules.cli import BLOCK_CHARS, main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -88,6 +88,30 @@ def test_report_is_byte_identical(name):
     code, digest = report_digest(CASES[name])
     assert code == 0
     assert digest == expected
+
+
+class RecordingStdout(io.StringIO):
+    """A stdout that remembers the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_report_is_written_in_blocks():
+    # a 31 KB report of about 4,100 encoder chunks
+    name = "singular3-structure-r2-offcentre"
+    out = RecordingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main(list(CASES[name])) == 0
+    assert len(out.sizes) > 1
+    assert max(out.sizes) <= BLOCK_CHARS
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
 
 
 def record_missing() -> None:

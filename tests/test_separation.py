@@ -1,8 +1,12 @@
+import random
+import tracemalloc
+
 import pytest
 
-from gtmodules.action import ModVec, gamma_eval
+import gtmodules.checks as checks
+from gtmodules.action import ModVec, _clear_memo_caches, gamma_eval
 from gtmodules.structure import basis_key, separator
-from gtmodules.tableau import Kind, Shift, canonicalize, tau
+from gtmodules.tableau import Kind, Shift, canonicalize, singular_triple, tau
 
 
 def both_labels(v, z):
@@ -81,3 +85,62 @@ class TestFullWindowSweep:
         from gtmodules.checks import check_separation
 
         assert check_separation(v_rem, win3_r1.shifts()) == []
+
+
+def listed_pairs(v, shifts, sample, seed):
+    """The pairs check_separation checked before it drew positions: every
+    ordered pair listed, then sampled.  Kept as the oracle for its draw."""
+    k, i, j = singular_triple(v)
+    pairs = [
+        (z, w)
+        for z in shifts
+        for w in shifts
+        if w != z and w != z.swap(k, i, j)
+    ]
+    if sample is not None and sample < len(pairs):
+        pairs = random.Random(seed).sample(pairs, sample)
+    return pairs
+
+
+class TestSampledPairs:
+    @staticmethod
+    def checked_pairs(monkeypatch, v, shifts, sample, seed):
+        seen = []
+
+        def recording(v, z, w):
+            seen.append((z, w))
+            return separator(v, z, w)
+
+        monkeypatch.setattr(checks, "separator", recording)
+        assert checks.check_separation(v, shifts, sample=sample, seed=seed) == []
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("sample", [0, 60])
+    def test_draw_matches_listing_oracle(self, monkeypatch, v_rem, win3, sample, seed):
+        shifts = win3.shifts()
+        expected = listed_pairs(v_rem, shifts, sample, seed)
+        assert len(expected) == sample
+        assert self.checked_pairs(monkeypatch, v_rem, shifts, sample, seed) == expected
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("extra", [None, 0, 5], ids=["all", "sample=count", "sample>count"])
+    def test_all_pairs_in_order(self, monkeypatch, v_rem, win3_r1, extra, seed):
+        # a label list with swap-related pairs and repeated labels
+        shifts = win3_r1.shifts()[:10]
+        shifts += shifts[2:5]
+        expected = listed_pairs(v_rem, shifts, None, seed)
+        sample = None if extra is None else len(expected) + extra
+        assert self.checked_pairs(monkeypatch, v_rem, shifts, sample, seed) == expected
+
+    def test_peak_memory_does_not_grow_with_pair_count(self, v_rem, win3):
+        # 15,400 ordered pairs in the window; listing them all peaked at 1.0 MB
+        shifts = win3.shifts()
+        _clear_memo_caches()
+        tracemalloc.start()
+        try:
+            assert checks.check_separation(v_rem, shifts, sample=5) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
