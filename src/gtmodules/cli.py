@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import product
+from itertools import chain, product
 
 from . import checks
 from .action import ModVec, _clear_memo_caches, act_gamma, apply_e
@@ -326,9 +326,7 @@ def cmd_structure(args) -> tuple[dict, int]:
             report["basis_Ik_window_size"] = len(basis_Ik_window(v, key, keys))
         except HypothesisViolated as exc:
             report["basis_Ik_window_error"] = str(exc)
-        # the audit object itself: each edge becomes a dict only while the
-        # report is written (see _write_report)
-        report["drop_audit"] = audit
+        report["drop_audit"] = audit.to_json()
     return report, 0
 
 
@@ -446,9 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Reports are indented JSON; objects the encoder does not know (the drop
-# audit and its edges) are asked for their report form as they are reached.
-_ENCODER = json.JSONEncoder(indent=2, default=lambda o: o.to_json())
+_ENCODER = json.JSONEncoder(indent=2)
 
 # Characters per write.  The indenting encoder yields tens of thousands of
 # short chunks for a large report.  Joining them all, as json.dumps does,
@@ -460,10 +456,15 @@ BLOCK_CHARS = 16384
 
 def _write_report(report, sinks: list) -> None:
     """Write the report and a final newline to every sink, in blocks of at
-    most BLOCK_CHARS characters (a single longer chunk goes out alone)."""
+    most BLOCK_CHARS characters (a single longer chunk goes out alone).
+
+    The report is encoded while it is written, so it must hold only plain
+    JSON data: a value the encoder rejects raises after earlier blocks went
+    out, not before the first one as json.dumps would.
+    """
     block: list[str] = []
     size = 0
-    for chunk in _ENCODER.iterencode(report):
+    for chunk in chain(_ENCODER.iterencode(report), ["\n"]):
         if size + len(chunk) > BLOCK_CHARS and block:
             text = "".join(block)
             for out in sinks:
@@ -472,7 +473,6 @@ def _write_report(report, sinks: list) -> None:
             size = 0
         block.append(chunk)
         size += len(chunk)
-    block.append("\n")
     text = "".join(block)
     for out in sinks:
         out.write(text)
@@ -506,10 +506,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
     finally:
+        # on exit 141 the --json-out file keeps what was written to it, as
+        # with tee
         for fh in sinks[1:]:
             fh.close()
-    if code == 141 and len(sinks) > 1:  # the file holds part of the report at most
-        os.remove(args.json_out)
     return code
 
 

@@ -403,43 +403,13 @@ def reach_components(graph: dict[TabKey, list[TabKey]]) -> list[frozenset[TabKey
     return sorted(components, key=lambda c: (-len(c), min(key_sort_key(k) for k in c)))
 
 
-class DropEdge:
-    """One generator edge along which the triple-set size drops.
-
-    Not a named tuple: the JSON encoder writes any tuple as an array without
-    asking its ``default`` hook, and the CLI relies on that hook to turn an
-    edge into its report dict only while writing it.
-    """
-
-    __slots__ = ("source", "generator", "target", "source_size", "target_size", "config")
-
-    def __init__(
-        self,
-        source: TabKey,
-        generator: str,
-        target: TabKey,
-        source_size: int,
-        target_size: int,
-        config: str | None,  # one of I..V for classified drop-by-one edges
-    ):
-        self.source = source
-        self.generator = generator
-        self.target = target
-        self.source_size = source_size
-        self.target_size = target_size
-        self.config = config
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"DropEdge({fields})"
+class DropEdge(NamedTuple):
+    source: TabKey
+    generator: str
+    target: TabKey
+    source_size: int
+    target_size: int
+    config: str | None  # one of I..V for classified drop-by-one edges
 
     def to_json(self) -> dict:
         return {
@@ -495,14 +465,11 @@ class DropAuditReport:
             self.unclassified.append(edge)
 
     def to_json(self) -> dict:
-        """The report form.  The edge lists hold the :class:`DropEdge`
-        objects themselves; an encoder resolves each through its
-        ``to_json``, as the CLI's does while writing it."""
         return {
             "edges_scanned": self.edges_scanned,
-            "violations": self.violations,
-            "drop_by_one_edges": self.drops,
-            "unclassified_drops": self.unclassified,
+            "violations": [e.to_json() for e in self.violations],
+            "drop_by_one_edges": [e.to_json() for e in self.drops],
+            "unclassified_drops": [e.to_json() for e in self.unclassified],
             "ok": self.ok,
         }
 

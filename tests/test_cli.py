@@ -256,12 +256,18 @@ class TestClosedStdout:
         assert done.returncode == 141
         assert done.stderr == b""
 
-    def test_leaves_no_partial_json_out(self, tmp_path):
+    def test_json_out_keeps_what_was_written(self, capsys, tmp_path):
+        # as with tee, the file is neither completed nor removed: it holds
+        # the part of the report written before stdout failed
+        argv = ["structure", "--radius", "2", "--center", "1,0;0", "--base-vector", REMARK_JSON]
+        assert main(argv) == 0
+        full = capsys.readouterr().out
         path = tmp_path / "report.json"
-        done = self.run_closed("finite", "--weight", "2,1,0", "--json-out", str(path))
+        path.write_text("an earlier report")
+        done = self.run_closed(*argv, "--json-out", str(path))
         assert done.returncode == 141
         assert done.stderr == b""
-        assert not path.exists()
+        assert full.startswith(path.read_text(encoding="utf-8"))
 
 
 class TestStructureCommand:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from gtmodules.cli import BLOCK_CHARS, main
+from gtmodules.cli import BLOCK_CHARS, _write_report, main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -112,6 +112,14 @@ def test_report_is_written_in_blocks():
     assert max(out.sizes) <= BLOCK_CHARS
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+
+
+def test_final_newline_keeps_the_block_bound():
+    # the encoded string fills one block exactly, so the newline needs another
+    out = RecordingStdout()
+    _write_report("x" * (BLOCK_CHARS - 2), [out])
+    assert out.sizes == [BLOCK_CHARS, 1]
+    assert out.getvalue() == '"' + "x" * (BLOCK_CHARS - 2) + '"\n'
 
 
 def record_missing() -> None:

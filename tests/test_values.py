@@ -1,16 +1,12 @@
 """Contracts of the value types, and what importing the CLI loads.
 
 The value types are named tuples (Jet, Classification, Shift, TabKey,
-Window, SeparatorRecipe, Verdict) or slotted classes (BaseVector,
-DropEdge); the hashes of the hashable ones equal the hash of their field
-tuple, so set and dict orders, and with them every report, do not depend
-on how they are built.  DropEdge and DropAuditReport compare field by field
-and are not hashed.  DropEdge is not a tuple, so that a JSON encoder asks
-its ``default`` hook for the edge's report form instead of writing it as an
-array.
+Window, SeparatorRecipe, DropEdge, Verdict) or slotted classes
+(BaseVector); their hashes equal the hash of their field tuple, so set and
+dict orders, and with them every report, do not depend on how they are
+built.
 """
 
-import json
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -18,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from gtmodules.cli import _ENCODER
 from gtmodules.ratcalc import Jet
 from gtmodules.structure import DropAuditReport, DropEdge, Window
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey
@@ -125,33 +120,3 @@ def test_drop_audit_reports_compare_by_content():
     key = TabKey(Shift.zero(3), Kind.REGULAR)
     b.drops.append(DropEdge(key, "E(1,2)", key, 2, 1, "I"))
     assert a != b
-
-
-def test_drop_edges_compare_by_field_and_are_not_tuples():
-    key = TabKey(Shift.zero(3), Kind.REGULAR)
-    other = TabKey(Shift(3, ((1,), (0, 0))), Kind.REGULAR)
-    edge = DropEdge(key, "E(1,2)", other, 2, 1, "I")
-    assert edge == DropEdge(source=key, generator="E(1,2)", target=other, source_size=2, target_size=1, config="I")
-    assert edge != DropEdge(key, "E(1,2)", other, 2, 1, None)
-    assert not isinstance(edge, tuple)
-    assert repr(edge).startswith("DropEdge(source=TabKey(")
-    with pytest.raises(AttributeError):
-        edge.extra = 1
-
-
-def test_audit_report_form_hands_out_edges_the_encoder_resolves():
-    v = BaseVector.from_rows(REMARK)
-    report = DropAuditReport(v)
-    key = TabKey(Shift.zero(3), Kind.REGULAR)
-    edge = DropEdge(key, "E(2,1)", key, 2, 1, None)
-    report.drops.append(edge)
-    report.unclassified.append(edge)
-    form = report.to_json()
-    assert form["drop_by_one_edges"] == [edge]
-    assert json.loads(_ENCODER.encode(report)) == {
-        "edges_scanned": 0,
-        "violations": [],
-        "drop_by_one_edges": [edge.to_json()],
-        "unclassified_drops": [edge.to_json()],
-        "ok": False,
-    }
