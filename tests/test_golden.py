@@ -55,6 +55,12 @@ CASES = {
     "singular4-apply": [
         "singular", "--base-vector", SINGULAR4, "--apply", "E(1,3) E(3,2)", "--key", "DT@0,0,0;1,0;0",
     ],
+    # the depth-3 commutator recursion of E(1,4) and E(4,1), the level-(4,4)
+    # closed form on a derivative key and cancellations inside the folds
+    "singular4-deep-apply": [
+        "singular", "--base-vector", SINGULAR4, "--apply", "E(1,4) E(4,1) c(4,4) C(2,2)@0,0,0;0,0;0",
+        "--key", "DT@0,0,0;1,0;0", "--key", "T@0,0,0;0,1;0",
+    ],
     # the singular4-structure benchmark's first seed-0 vector: 486 drop-by-one
     # edges in a 329 KB report, the largest drop audit in the corpus
     "singular4-drops-structure-r1": [
