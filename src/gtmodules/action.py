@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 from .ratcalc import Jet, PoleAtZero, rf_d_pair, rf_from_linear_factors
@@ -53,16 +53,6 @@ class NotStandard(ValueError):
     """A finite-family action was requested on a non-standard tableau."""
 
 
-def _add_term(acc: dict, key: TabKey, coeff: Fraction) -> None:
-    if not coeff:
-        return
-    new = acc.get(key, _ZERO) + coeff
-    if new:
-        acc[key] = new
-    else:
-        del acc[key]
-
-
 class ModVec:
     """Finitely supported exact linear combination of basis keys.
 
@@ -72,12 +62,26 @@ class ModVec:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=()):
-        data: dict[TabKey, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            _add_term(data, key, coeff)
-        self._terms = data
+    def __init__(self, pairs=()):
+        """Sum (key, coefficient) pairs, or a dict of key -> coefficient.
+
+        This is the one fold that builds every vector.  Zero coefficients
+        are skipped; a key seen first stores the given coefficient object;
+        a key whose sum cancels is removed and, if seen again, goes to the
+        end.  The library passes only ``Fraction`` coefficients.
+        """
+        terms: dict[TabKey, Fraction] = {}
+        for key, coeff in pairs.items() if isinstance(pairs, dict) else pairs:
+            if not coeff:
+                continue
+            old = terms.get(key)
+            if old is None:
+                terms[key] = coeff
+            elif new := old + coeff:
+                terms[key] = new
+            else:
+                del terms[key]
+        self._terms = terms
 
     @classmethod
     def zero(cls) -> "ModVec":
@@ -110,28 +114,14 @@ class ModVec:
         raise TypeError("ModVec is not hashable")
 
     def __add__(self, other: "ModVec") -> "ModVec":
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _add_term(acc, key, coeff)
-        out = ModVec.zero()
-        out._terms.update(acc)
-        return out
+        return ModVec(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "ModVec") -> "ModVec":
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _add_term(acc, key, -coeff)
-        out = ModVec.zero()
-        out._terms.update(acc)
-        return out
+        return ModVec(chain(self._terms.items(), ((k, -x) for k, x in other._terms.items())))
 
     def scale(self, c: Fraction | int) -> "ModVec":
         c = Fraction(c)
-        if not c:
-            return ModVec.zero()
-        out = ModVec.zero()
-        out._terms.update({k: c * x for k, x in self._terms.items()})
-        return out
+        return ModVec((k, c * x) for k, x in self._terms.items())
 
     def __neg__(self) -> "ModVec":
         return self.scale(-1)
@@ -267,10 +257,7 @@ def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
     """Elementary generator action of E_{rs}, |r-s| <= 1, on one basis key;
     a key that is not a basis key raises as in :func:`_check_key`."""
     _check_key(v, key)
-    acc: dict[TabKey, Fraction] = {}
-    for _s0, _kind, tkey, coeff in _summands(v, r, s, key):
-        _add_term(acc, tkey, coeff)
-    return ModVec(acc)
+    return ModVec((tkey, coeff) for _s0, _kind, tkey, coeff in _summands(v, r, s, key))
 
 
 @lru_cache(maxsize=None)
@@ -287,11 +274,7 @@ def _apply_e_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
 
 
 def _apply_vec(v: BaseVector, i: int, j: int, vec: ModVec) -> ModVec:
-    acc: dict[TabKey, Fraction] = {}
-    for key, c in vec.items():
-        for key2, c2 in _apply_e_key(v, i, j, key).items():
-            _add_term(acc, key2, c * c2)
-    return ModVec(acc)
+    return ModVec((key2, c * c2) for key, c in vec.items() for key2, c2 in _apply_e_key(v, i, j, key).items())
 
 
 def apply_e(v: BaseVector, i: int, j: int, vec: ModVec) -> ModVec:
@@ -314,16 +297,17 @@ def apply_casimir_pbw(v: BaseVector, m: int, k: int, vec: ModVec) -> ModVec:
     """
     if not (1 <= k <= m):
         raise ValueError("need 1 <= k <= m")
-    total = ModVec.zero()
-    for idx in product(range(1, m + 1), repeat=k):
-        hops = [(idx[a], idx[(a + 1) % k]) for a in range(k)]
-        cur = vec
-        for a, b in reversed(hops):
-            cur = _apply_vec(v, a, b, cur)
-            if cur.is_zero:
-                break
-        total = total + cur
-    return total
+
+    def tuple_terms():
+        for idx in product(range(1, m + 1), repeat=k):
+            cur = vec
+            for a in reversed(range(k)):
+                cur = _apply_vec(v, idx[a], idx[(a + 1) % k], cur)
+                if cur.is_zero:
+                    break
+            yield from cur.items()
+
+    return ModVec(tuple_terms())
 
 
 @lru_cache(maxsize=None)
@@ -405,15 +389,17 @@ def act_gamma(
     """
     vec = target if isinstance(target, ModVec) else ModVec.single(target)
     offset = gamma_eval(v, r, s, shift) if shift is not None else None
-    acc: dict[TabKey, Fraction] = {}
-    for key, c in vec.items():
-        g = gamma_eval(v, r, s, key.shift)
-        if offset is not None:
-            g -= offset
-        _add_term(acc, key, c * g)
-        if key.kind is Kind.DERIVATIVE:
-            dg = gamma_dvbar(v, r, s, key.shift)
-            if dg:
-                tkey, sg = canonicalize(v, Kind.REGULAR, key.shift)
-                _add_term(acc, tkey, c * dg * sg)
-    return ModVec(acc)
+
+    def terms():
+        for key, c in vec.items():
+            g = gamma_eval(v, r, s, key.shift)
+            if offset is not None:
+                g -= offset
+            yield key, c * g
+            if key.kind is Kind.DERIVATIVE:
+                dg = gamma_dvbar(v, r, s, key.shift)
+                if dg:
+                    tkey, sg = canonicalize(v, Kind.REGULAR, key.shift)
+                    yield tkey, c * dg * sg
+
+    return ModVec(terms())

@@ -74,9 +74,7 @@ def check_relations(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
         vec = ModVec.single(key)
         for g1, g2, expected in _relation_cases(v.n):
             lhs = commutator(v, g1, g2, vec)
-            rhs = ModVec.zero()
-            for coeff, label in expected:
-                rhs = rhs + _apply(v, label, vec).scale(coeff)
+            rhs = ModVec((k, coeff * x) for coeff, label in expected for k, x in _apply(v, label, vec).items())
             if lhs != rhs:
                 failures.append(
                     {

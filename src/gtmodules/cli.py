@@ -181,6 +181,8 @@ def _enumerate_standard(v: BaseVector) -> list[Shift]:
 
 
 def cmd_finite(args) -> tuple[dict, int]:
+    if args.weight and args.top_row:
+        raise InputError("--weight conflicts with --top-row; give one or the other")
     flag, text = ("--weight", args.weight) if args.weight else ("--top-row", args.top_row)
     if not text:
         raise InputError("finite requires --weight or --top-row")
@@ -212,28 +214,28 @@ def cmd_finite(args) -> tuple[dict, int]:
 
 
 def _parse_generator(n: int, text: str):
+    """'E(i,j)', 'c(r,s)' or 'C(r,s)@rows' as (head, i, j, shift or None);
+    bad input raises InputError naming --apply."""
     text = text.strip()
     head, _, rest = text.partition("(")
-    rest = rest.rstrip(")")
-    idx_text, sep, shift_text = rest.partition(")@")
-    if "@" in rest and not sep:
-        raise InputError(f"cannot parse generator {text!r}")
+    idx_text, close, tail = rest.partition(")")
+    if not close or ")" in tail or (tail and not tail.startswith("@")):
+        raise InputError(f"--apply {text!r}: cannot parse generator")
     try:
         indices = _parse_list(idx_text)
-        shift = _parse_shift(n, shift_text) if sep else None
+        shift = _parse_shift(n, tail[1:]) if tail else None
     except ValueError as exc:
         raise InputError(f"--apply {text!r}: {exc}") from None
-    if head in ("E", "c") and len(indices) == 2:
-        if shift is not None:
-            raise InputError(f"{head}(i,j) takes no shift argument: {text!r}")
-        if head == "E" and not all(1 <= x <= n for x in indices):
-            raise InputError(f"--apply {text!r}: generator indices must lie in 1..{n}")
-        return (head, indices[0], indices[1], None)
-    if head == "C" and len(indices) == 2:
-        if shift is None:
-            raise InputError("recentred generator needs a shift: C(r,s)@rows")
-        return ("C", indices[0], indices[1], shift)
-    raise InputError(f"cannot parse generator {text!r}")
+    if head not in ("E", "c", "C") or len(indices) != 2:
+        raise InputError(f"--apply {text!r}: cannot parse generator")
+    if (head == "C") != (shift is not None):
+        raise InputError(f"--apply {text!r}: C(r,s) needs a shift after '@', and E(i,j) and c(r,s) take none")
+    i, j = indices
+    if head == "E" and not (1 <= i <= n and 1 <= j <= n):
+        raise InputError(f"--apply {text!r}: generator indices must lie in 1..{n}")
+    if head != "E" and not 1 <= j <= i <= n:
+        raise InputError(f"--apply {text!r}: a level (r,s) needs 1 <= s <= r <= {n}")
+    return (head, i, j, shift)
 
 
 def _cmd_apply(args, expected: Family) -> tuple[dict, int]:
@@ -286,6 +288,8 @@ def cmd_structure(args) -> tuple[dict, int]:
     if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise InputError("structure analysis requires a generic or one-singular vector")
     win = _window(args, v.n)
+    if args.key and len(args.key) > 1:
+        raise InputError(f"--key given {len(args.key)} times; structure takes one focus key")
     key = _parse_key(v.n, args.key[0]) if args.key else basis_key(v, win.center)
     keys = win.keys(v)
     graph, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .action import (
     ModVec,
-    _add_term,
     _check_key,
     _summands,
     act_gamma,
@@ -282,8 +281,8 @@ def reach_scan(
     The graph maps each key, in the given order, to the other window keys
     that receive a nonzero coefficient from one raising or lowering
     generator applied to it, in first-seen order and stored as the window's
-    own key objects.  Each generator's summands are read once and summed in
-    a local dict, so targets whose summands cancel get no edge.  In the
+    own key objects.  Each generator's summands are read once and summed into
+    a vector, so targets whose summands cancel get no edge.  In the
     one-singular family a derivative key also reaches the support of the
     recentred level (k, 2) element, the only single element of the
     subalgebra that moves a basis vector.
@@ -302,18 +301,20 @@ def reach_scan(
     # the raising and lowering generators; the diagonal E(r,r) maps a key
     # only to itself and moves nothing
     gens = [(a, b) for r in range(1, v.n) for a, b in ((r, r + 1), (r + 1, r))]
+
+    def terms(key: TabKey, size_src: int, a: int, b: int):
+        for s0, comp_kind, tkey, coeff in _summands(v, a, b, key):
+            if report is not None:
+                report.scan(key, size_src, a, b, s0, comp_kind, tkey)
+            yield tkey, coeff
+
     graph: dict[TabKey, list[TabKey]] = {}
     for key in keys:
         _check_key(v, key)
         targets: dict[TabKey, None] = {}
         size_src = len(omega_plus(v, key)) if audit else 0
         for a, b in gens:
-            acc: dict[TabKey, Fraction] = {}
-            for s0, comp_kind, tkey, coeff in _summands(v, a, b, key):
-                if report is not None:
-                    report.scan(key, size_src, a, b, s0, comp_kind, tkey)
-                _add_term(acc, tkey, coeff)
-            targets.update(dict.fromkeys(acc))
+            targets.update(dict.fromkeys(ModVec(terms(key, size_src, a, b)).support()))
         if cls.family is Family.ONE_SINGULAR and key.kind is Kind.DERIVATIVE:
             k = cls.singular[0]
             targets.update(dict.fromkeys(act_gamma(v, k, 2, key, shift=key.shift).support()))

@@ -120,6 +120,28 @@ class TestApplyCommands:
         assert "Traceback" not in captured.out + captured.err
 
 
+    @pytest.mark.parametrize(
+        "generator,shown",
+        [
+            ("c(3,5)", "a level (r,s) needs 1 <= s <= r <= 3"),
+            ("c(2,3)", "a level (r,s) needs 1 <= s <= r <= 3"),
+            ("C(0,0)@0,0;0", "a level (r,s) needs 1 <= s <= r <= 3"),
+            ("E(1,2", "cannot parse generator"),
+            ("E(1,2)))", "cannot parse generator"),
+            ("C(2,2))@0,0;0", "cannot parse generator"),
+        ],
+        ids=["c-beyond-n", "c-power-above-row", "C-zero", "E-unclosed", "E-extra-parens", "C-extra-paren"],
+    )
+    def test_malformed_generator_names_apply(self, capsys, generator, shown):
+        code = main(["singular", "--base-vector", REMARK_JSON, "--apply", generator])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "InputError"
+        assert report["message"] == f"--apply {generator!r}: {shown}"
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestKeyInput:
     @pytest.mark.parametrize(
         "key,shown",
@@ -225,6 +247,22 @@ class TestFlagChecks:
         assert code == 2
         assert report["error"] == "InputError"
         assert report["message"].startswith(flag)
+
+
+class TestIgnoredFlags:
+    # flags that a command used to drop without saying so
+
+    def test_finite_weight_with_top_row_exit_2(self, capsys):
+        code, report = run_cli(capsys, "finite", "--weight", "2,1,0", "--top-row", "5,0,-9")
+        assert code == 2
+        assert report["message"] == "--weight conflicts with --top-row; give one or the other"
+
+    def test_structure_second_key_exit_2(self, capsys):
+        code, report = run_cli(
+            capsys, "structure", "--base-vector", REMARK_JSON, "--radius", "1", "--key", "T@0,0;0", "--key", "T@5,5;5"
+        )
+        assert code == 2
+        assert report["message"] == "--key given 2 times; structure takes one focus key"
 
 
 class TestClosedStdout:
