@@ -35,7 +35,7 @@ def main():
 
     # the deformed coefficient of a raising summand at the coincident pair
     z0 = Shift.zero(3)
-    jet = coeff_e(v, 2, 3, 1, z0, deform=True)
+    jet = coeff_e(v, 2, 3, 1, z0)
     print("\nraising summand coefficient at the coincident pair:")
     print("  pole order at t=0:", -jet.order)
     cleared = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))

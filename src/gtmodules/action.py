@@ -84,10 +84,6 @@ class ModVec:
         self._terms = terms
 
     @classmethod
-    def zero(cls) -> "ModVec":
-        return cls()
-
-    @classmethod
     def single(cls, key: TabKey, coeff: Fraction | int = 1) -> "ModVec":
         return cls([(key, Fraction(coeff))])
 
@@ -158,26 +154,23 @@ def _summand_spec(l: int, m: int) -> tuple[int, int]:
         return l, 1
     if l == m + 1:
         return m, -1
-    raise ValueError(f"E({l},{m}) is not an elementary generator")
+    raise ValueError(f"E({l},{m}) is not a raising or lowering generator E(r,r+1) or E(r+1,r)")
 
 
-def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift, deform: bool = True) -> Jet:
+def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift) -> Jet:
     """Coefficient of the s0-th summand of the E_{lm} tableau formula at v+z.
 
     For E_{r,r+1} this is minus the product of differences against row r+1
     over the product of in-row differences, with the distinguished entry at
-    (r, s0); for E_{r+1,r} the numerator runs over row r-1; for E_{rr} the
-    summand is the constant diagonal weight.  With deform=True (one-singular
-    context) the factors are linear in t; otherwise they are constants and a
-    vanishing denominator difference raises DegenerateFactor.
+    (r, s0); for E_{r+1,r} the numerator runs over row r-1.  In the
+    one-singular family the factors are linear in t; otherwise they are
+    constants and a vanishing denominator difference raises DegenerateFactor.
     """
-    if l == m:
-        return rf_from_linear_factors([(weight_eigenvalue(v, l, z), 0)], [])
     r, direction = _summand_spec(l, m)
     if not (1 <= s0 <= r):
         raise ValueError(f"summand index {s0} out of range for row {r}")
     nb = r + direction  # the neighbouring row of the numerator
-    singular = v.classification.singular if deform else None
+    singular = v.classification.singular
     row_m, nb_m = _slopes(singular, r), _slopes(singular, nb)
     a = v.entry(r, s0) + z.get(r, s0)
     ma = row_m[s0 - 1]
@@ -210,7 +203,7 @@ def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int,
         raw = []
         for s0 in range(1, row + 1):
             target = z.bump(row, s0, direction)
-            jet = coeff_e(v, r, s, s0, z, deform=singular)
+            jet = coeff_e(v, r, s, s0, z)
             if not singular:  # undeformed: the jet is the constant coeffs[0]
                 raw.append((s0, Kind.REGULAR, target, jet.coeffs[0]))
                 continue
@@ -260,21 +253,26 @@ def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
     return ModVec((tkey, coeff) for _s0, _kind, tkey, coeff in _summands(v, r, s, key))
 
 
+def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
+    """E_ij on one key, from the one cache that holds it: act_e for
+    |i-j| <= 1, the commutator cache otherwise."""
+    return act_e(v, i, j, key) if abs(i - j) <= 1 else _apply_e_key(v, i, j, key)
+
+
 @lru_cache(maxsize=None)
 def _apply_e_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
-    if abs(i - j) <= 1:
-        return act_e(v, i, j, key)
-    # Nested commutator route: E_ij = [E_iq, E_qj] with q between i and j.
-    # The choice q = min + 1 is fixed for determinism; independence of the
-    # choice is property-tested, not assumed.
+    """E_ij on one key for |i-j| >= 2 by the nested commutator route:
+    E_ij = [E_iq, E_qj] with q between i and j.  The choice q = min + 1 is
+    fixed for determinism; independence of the choice is property-tested,
+    not assumed."""
     q = min(i, j) + 1
-    first = _apply_vec(v, q, j, _apply_e_key(v, i, q, key))
-    second = _apply_vec(v, i, q, _apply_e_key(v, q, j, key))
+    first = _apply_vec(v, q, j, _apply_key(v, i, q, key))
+    second = _apply_vec(v, i, q, _apply_key(v, q, j, key))
     return second - first
 
 
 def _apply_vec(v: BaseVector, i: int, j: int, vec: ModVec) -> ModVec:
-    return ModVec((key2, c * c2) for key, c in vec.items() for key2, c2 in _apply_e_key(v, i, j, key).items())
+    return ModVec((key2, c * c2) for key, c in vec.items() for key2, c2 in _apply_key(v, i, j, key).items())
 
 
 def apply_e(v: BaseVector, i: int, j: int, vec: ModVec) -> ModVec:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .action import ModVec, act_gamma, apply_casimir_pbw, apply_e, gamma_eval
-from .ratcalc import format_rat, rf_d_pair, rf_from_linear_factors
+from .ratcalc import rf_d_pair, rf_from_linear_factors
 from .structure import basis_key, key_sort_key, reach_scan, separator
 from .tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize, classify, singular_triple
 
@@ -29,12 +29,8 @@ __all__ = [
 ]
 
 
-def _apply(v: BaseVector, label: tuple[int, int], vec: ModVec) -> ModVec:
-    return apply_e(v, label[0], label[1], vec)
-
-
 def commutator(v: BaseVector, g1: tuple[int, int], g2: tuple[int, int], vec: ModVec) -> ModVec:
-    return _apply(v, g1, _apply(v, g2, vec)) - _apply(v, g2, _apply(v, g1, vec))
+    return apply_e(v, *g1, apply_e(v, *g2, vec)) - apply_e(v, *g2, apply_e(v, *g1, vec))
 
 
 def _relation_cases(n: int):
@@ -74,7 +70,7 @@ def check_relations(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
         vec = ModVec.single(key)
         for g1, g2, expected in _relation_cases(v.n):
             lhs = commutator(v, g1, g2, vec)
-            rhs = ModVec((k, coeff * x) for coeff, label in expected for k, x in _apply(v, label, vec).items())
+            rhs = ModVec((k, coeff * x) for coeff, label in expected for k, x in apply_e(v, *label, vec).items())
             if lhs != rhs:
                 failures.append(
                     {
@@ -90,7 +86,7 @@ def check_relations(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
 def _modvec_json(vec: ModVec) -> list:
     """[key, "p/q"] pairs in key order, the report form of a vector."""
     items = sorted(vec.items(), key=lambda kv: key_sort_key(kv[0]))
-    return [[key.to_json(), format_rat(coeff)] for key, coeff in items]
+    return [[key.to_json(), str(coeff)] for key, coeff in items]
 
 
 def check_gamma_coherence(

@@ -136,15 +136,16 @@ def _load_base_vector(args) -> BaseVector:
 
 
 def _window(args, n: int) -> Window:
+    margin = getattr(args, "margin", 1)  # verify takes no --margin: no suite reads one
     if args.radius < 1:
         raise InputError(f"--radius {args.radius}: the window radius must be at least 1")
-    if not 0 <= args.margin <= args.radius:
-        raise InputError(f"--margin {args.margin}: the margin must lie between 0 and --radius {args.radius}")
+    if not 0 <= margin <= args.radius:
+        raise InputError(f"--margin {margin}: the margin must lie between 0 and --radius {args.radius}")
     try:
         center = _parse_shift(n, args.center) if args.center else Shift.zero(n)
     except ValueError as exc:
         raise InputError(f"--center {args.center!r}: {exc}") from None
-    return Window(center=center, radius=args.radius, margin=args.margin)
+    return Window(center=center, radius=args.radius, margin=margin)
 
 
 def _enumerate_standard(v: BaseVector) -> list[Shift]:
@@ -350,12 +351,15 @@ def cmd_verdict(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    if args.sample < 0:
+    if args.sample is not None and args.sample < 0:
         raise InputError(f"--sample {args.sample}: the number of sampled pairs must be at least 0")
     v = _load_base_vector(args)
     fam = classify(v).family
     if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise InputError("verify requires a generic or one-singular vector")
+    if fam is Family.GENERIC and args.sample is not None:
+        raise InputError(f"--sample {args.sample}: the separation suite runs only on one-singular vectors")
+    sample = 60 if args.sample is None else args.sample
     win = _window(args, v.n)
     suites: dict[str, dict] = {}
 
@@ -379,8 +383,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         run("character_pairing", checks.check_character_pairing(v, shifts), f"{len(keys)}^2 label pairs")
         run(
             "separation",
-            checks.check_separation(v, shifts, sample=args.sample, seed=args.seed),
-            f"sampled pairs (limit {args.sample})",
+            checks.check_separation(v, shifts, sample=sample, seed=args.seed),
+            f"sampled pairs (limit {sample})",
         )
     run("omega_drop_bound", checks.check_drop_bound(v, keys), "all window edges")
     passed = all(s["passed"] for s in suites.values())
@@ -410,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         if window:
             q.add_argument("--radius", type=int, default=2, help="window radius (default 2)")
             q.add_argument("--center", help="window center shift, e.g. '0,0;0'")
-            q.add_argument("--margin", type=int, default=1, help="interior margin (default 1)")
 
     q = sub.add_parser("finite", help="standard basis of a finite-dimensional module")
     q.add_argument("--weight", help="dominant integral highest weight, e.g. '2,1,0'")
@@ -434,16 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("verify", help="run the invariant suites")
     common(q)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--sample", type=int, default=60, help="separation pairs to sample")
+    q.add_argument("--sample", type=int, help="separation pairs to sample, one-singular vectors only (default 60)")
     q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("structure", help="window structure report")
     common(q)
+    q.add_argument("--margin", type=int, default=1, help="interior margin (default 1)")
     q.add_argument("--key", action="append", help="focus key (default: window center)")
     q.set_defaults(func=cmd_structure)
 
     q = sub.add_parser("verdict", help="irreducibility verdict with witness audit")
     common(q)
+    q.add_argument("--margin", type=int, default=1, help="interior margin (default 1)")
     q.set_defaults(func=cmd_verdict)
     return p
 

@@ -3,9 +3,8 @@
 Scalars are ``fractions.Fraction`` (aliased ``Rat``).  Every coefficient
 in the tableau formulas is a signed product and quotient of linear factors
 c + m t in the deformation variable t, and the actions read only its pair
-``(f(0), f'(0)/2)``.  A :class:`Jet` ``t^order (a0 + a1 t + a2 t^2)``
-carries exactly that; the t^2 coefficient lets a sum whose terms have
-simple poles cancel them and keep its half-derivative.
+``(f(0), f'(0)/2)``.  A :class:`Jet` ``t^order (a0 + a1 t)`` carries
+exactly that, so the pair is read only from a jet with no pole.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ Rat = Fraction
 
 __all__ = [
     "Rat", "Jet", "DegenerateFactor", "PoleAtZero",
-    "rf_from_linear_factors", "rf_d_pair", "parse_rat", "format_rat",
+    "rf_from_linear_factors", "rf_d_pair", "parse_rat",
 ]
 
 _ZERO = Fraction(0)
@@ -43,22 +42,18 @@ def parse_rat(text: str) -> Rat:
         raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
-def format_rat(x: Rat) -> str:
-    return str(x)
-
-
 class Jet(NamedTuple):
-    """t^order (a0 + a1 t + a2 t^2) + O(t^(order + 3)), exactly.  The only
-    operation is +, which keeps the lower order and that summand's precision."""
+    """t^order (a0 + a1 t) + O(t^(order + 2)), exactly.  The only operation
+    is +, which keeps the lower order and that summand's precision."""
 
     order: int
-    coeffs: tuple[Rat, Rat, Rat]
+    coeffs: tuple[Rat, Rat]
 
     def __add__(self, other: "Jet") -> "Jet":
         lo, hi = (self, other) if self.order <= other.order else (other, self)
         gap = hi.order - lo.order
         out = list(lo.coeffs)
-        for idx in range(gap, 3):
+        for idx in range(gap, 2):
             out[idx] += hi.coeffs[idx - gap]
         return Jet(lo.order, tuple(out))
 
@@ -72,11 +67,11 @@ def rf_from_linear_factors(
 
     Empty products are 1.  A factor with m = 0 only scales and one with
     c = 0 only scales and moves the order; the rest, c (1 + u t), multiply
-    the normalised series 1 + s1 t + s2 t^2.  A denominator factor with
+    the normalised series 1 + s1 t.  A denominator factor with
     c = 0 and m = 0 is rejected; such a numerator factor gives zero.
     """
     scalar = Fraction(sign)
-    order = s1 = s2 = 0
+    order = s1 = 0
     try:
         for c, m in factors_den:
             if not m:
@@ -87,7 +82,7 @@ def rf_from_linear_factors(
             else:
                 u = Fraction(m) / c
                 scalar /= c
-                s1, s2 = s1 - u, s2 - u * s1 + u * u
+                s1 -= u
     except ZeroDivisionError:
         raise DegenerateFactor("identically zero factor in denominator") from None
     for c, m in factors_num:
@@ -99,26 +94,22 @@ def rf_from_linear_factors(
         else:
             u = Fraction(m) / c
             scalar *= c
-            s1, s2 = s1 + u, s2 + u * s1
+            s1 += u
     if not scalar:
         order = 0  # an exact zero has no pole
-    return Jet(order, (scalar, scalar * s1, scalar * s2) if s1 or s2 else (scalar, _ZERO, _ZERO))
+    return Jet(order, (scalar, scalar * s1 if s1 else _ZERO))
 
 
 def rf_d_pair(f: Jet) -> tuple[Rat, Rat]:
     """Return (f(0), f'(0)/2) exactly.
 
-    Raises PoleAtZero when a negative power of t has a nonzero coefficient,
-    or when the t coefficient lies past the jet's precision (order < -1);
-    either signals a formula applied outside its smoothness domain.
+    Raises PoleAtZero for a negative order, which signals a formula applied
+    outside its smoothness domain; a sum whose simple poles cancel raises
+    too, since its t coefficient lies past the jet's precision.
     """
-    order, coeffs = f.order, f.coeffs
-    if order < -1:
-        raise PoleAtZero("t coefficient lies past the jet's precision")
-    if order == -1:
-        if coeffs[0]:
-            raise PoleAtZero("function has a pole at t = 0")
-        coeffs = coeffs[1:]
-    else:
-        coeffs = (_ZERO,) * min(order, 2) + coeffs
-    return coeffs[0], coeffs[1] / 2
+    order, (a0, a1) = f
+    if order < 0:
+        raise PoleAtZero("function has a pole at t = 0")
+    if order == 0:
+        return a0, a1 / 2
+    return _ZERO, a0 / 2 if order == 1 else _ZERO

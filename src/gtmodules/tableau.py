@@ -20,7 +20,7 @@ import enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .ratcalc import format_rat, parse_rat
+from .ratcalc import parse_rat
 
 # Row products in the action formulas grow factorially with n; the cap
 # keeps exact arithmetic at desk scale.  Raise it deliberately if needed.
@@ -326,7 +326,7 @@ class BaseVector:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "anchors": [format_rat(a) for a in self.anchors],
+            "anchors": [str(a) for a in self.anchors],
             "assignment": [list(row) for row in reversed(self.assignment)],
             "offsets": [list(row) for row in reversed(self.offsets)],
         }

@@ -72,24 +72,25 @@ def test_apply_e_rejects_indices_outside_1_to_n(v_rem, i, j):
 class TestCoeffE:
     def test_gl2_raising_coefficient(self, v_fin2):
         # top row (1, -1), entry 0: -(0-1)(0+1) = 1
-        rf = coeff_e(v_fin2, 1, 2, 1, Shift.zero(2), deform=False)
+        rf = coeff_e(v_fin2, 1, 2, 1, Shift.zero(2))
         assert rf_d_pair(rf) == (F(1), F(0))
 
-    def test_diagonal_is_weight(self, v_gen3):
-        z = Shift(3, ((2,), (1, -1)))
-        for s0 in (1, 2):
-            rf = coeff_e(v_gen3, 2, 2, s0, z, deform=False)
-            assert rf_d_pair(rf)[0] == weight_eigenvalue(v_gen3, 2, z)
+    def test_diagonal_is_not_a_summand_generator(self, v_gen3):
+        # the diagonal acts by weight_eigenvalue, not by a summand formula
+        with pytest.raises(ValueError, match="not a raising or lowering generator"):
+            coeff_e(v_gen3, 2, 2, 1, Shift.zero(3))
 
     def test_singular_denominator_carries_2t(self, v_rem):
         # z with equal singular components: in-row difference becomes 2t
         z = Shift.zero(3)
-        jet = coeff_e(v_rem, 2, 3, 1, z, deform=True)
+        jet = coeff_e(v_rem, 2, 3, 1, z)
         assert jet.order == -1
 
-    def test_nondeformed_degenerate_raises(self, v_rem):
+    def test_nondeformed_degenerate_raises(self, v_fin3_210):
+        # row 2 of the finite vector is (0, 0) at the zero shift, and outside
+        # the one-singular family no t separates the two entries
         with pytest.raises(DegenerateFactor):
-            coeff_e(v_rem, 2, 3, 1, Shift.zero(3), deform=False)
+            coeff_e(v_fin3_210, 2, 3, 1, Shift.zero(3))
 
 
 class TestGeneric:
@@ -262,7 +263,7 @@ class TestGeneralE:
                 assert fixed == other
 
     def test_zero_vector_maps_to_zero(self, v_gen3):
-        assert apply_e(v_gen3, 1, 3, ModVec.zero()).is_zero
+        assert apply_e(v_gen3, 1, 3, ModVec()).is_zero
 
 
 class TestClassicalRegion:
@@ -350,6 +351,22 @@ class TestCanonicalMerging:
         for t, c in out.items():
             k2, sign = canonicalize(v_rem, t.kind, t.shift)
             assert k2 == t and sign == 1
+
+
+def test_each_generator_result_is_cached_once(v_rem):
+    # adjacent results live in act_e only; _apply_e_key holds commutators
+    from gtmodules.action import _apply_e_key, _clear_memo_caches
+
+    _clear_memo_caches()
+    vec = single(3, [(0,), (1, 0)])
+    apply_e(v_rem, 1, 2, vec)
+    apply_e(v_rem, 1, 2, vec)
+    info = act_e.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert _apply_e_key.cache_info().currsize == 0
+    apply_e(v_rem, 1, 3, vec)
+    assert _apply_e_key.cache_info().currsize == 1
+    _clear_memo_caches()
 
 
 def test_functools_caches_are_the_known_three():

@@ -257,6 +257,22 @@ class TestIgnoredFlags:
         assert code == 2
         assert report["message"] == "--weight conflicts with --top-row; give one or the other"
 
+    def test_verify_margin_is_not_a_flag(self, capsys):
+        # no verify suite reads a margin, so --margin would change nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--radius", "1", "--margin", "0", "--base-vector", REMARK_JSON])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --margin 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample", ["0", "60"])
+    def test_verify_sample_on_generic_exit_2(self, capsys, sample):
+        # the separation suite, the only reader of --sample, runs only in the
+        # one-singular family
+        code, report = run_cli(capsys, "verify", "--radius", "1", "--sample", sample, "--base-vector", GENERIC_JSON)
+        assert code == 2
+        assert report["error"] == "InputError"
+        assert report["message"].startswith(f"--sample {sample}: ")
+
     def test_structure_second_key_exit_2(self, capsys):
         code, report = run_cli(
             capsys, "structure", "--base-vector", REMARK_JSON, "--radius", "1", "--key", "T@0,0;0", "--key", "T@5,5;5"

@@ -265,9 +265,9 @@ class TestOnePass:
         calls = []
         coeff_e = gtmodules.action.coeff_e
 
-        def counted(v, l, m, s0, z, deform=True):
+        def counted(v, l, m, s0, z):
             calls.append((l, m, s0, z))
-            return coeff_e(v, l, m, s0, z, deform)
+            return coeff_e(v, l, m, s0, z)
 
         monkeypatch.setattr(gtmodules.action, "coeff_e", counted)
         vector = json.dumps({"rows": rows})

@@ -54,7 +54,7 @@ def test_repr_keeps_field_form():
 @pytest.mark.parametrize(
     "make,field",
     [
-        (lambda: Jet(0, (F(1), F(0), F(0))), "order"),
+        (lambda: Jet(0, (F(1), F(0))), "order"),
         (lambda: Shift.zero(3), "rows"),
         (lambda: TabKey(Shift.zero(3), Kind.REGULAR), "kind"),
         (lambda: Window(Shift.zero(3), 1), "radius"),
