@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from gtmodules.action import act_e, act_gamma, coeff_e, gamma_dvbar, gamma_eval
 from gtmodules.ratcalc import Jet, rf_d_pair
 from gtmodules.structure import basis_key
-from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize, classify
+from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize
 
 
 def show(vec):
@@ -24,7 +24,7 @@ def show(vec):
 def main():
     a, b, c, x = F(1, 2), F(1, 3), F(1, 5), F(1, 7)
     v = BaseVector.from_rows([[a, b, c], [x, x], [x]])
-    print("classification:", classify(v))
+    print("classification:", v.classification)
 
     # canonical labels: the swap either folds (regular) or negates (derivative)
     z = Shift(3, ((0,), (1, 3)))

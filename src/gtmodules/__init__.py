@@ -15,8 +15,6 @@ from .tableau import (
     Shift,
     TabKey,
     canonicalize,
-    classify,
-    distance,
     is_standard,
     singular_triple,
     tau,

@@ -16,7 +16,7 @@ from typing import Sequence
 from .action import ModVec, act_gamma, apply_casimir_pbw, apply_e, gamma_eval
 from .ratcalc import rf_d_pair, rf_from_linear_factors
 from .structure import basis_key, key_sort_key, reach_scan, separator
-from .tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize, classify, singular_triple
+from .tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize, singular_triple
 
 __all__ = [
     "commutator",
@@ -232,6 +232,6 @@ def check_drop_bound(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
     report = reach_scan(v, keys, audit=True)[1]
     failures = [{"type": "violation", **e.to_json()} for e in report.violations]
     failures.extend({"type": "unclassified", **e.to_json()} for e in report.unclassified)
-    if classify(v).family is Family.GENERIC:
+    if v.classification.family is Family.GENERIC:
         failures.extend({"type": "generic_drop", **e.to_json()} for e in report.drops)
     return failures

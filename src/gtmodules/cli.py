@@ -29,7 +29,7 @@ import sys
 from itertools import chain, product
 
 from . import checks
-from .action import ModVec, _clear_memo_caches, act_gamma, apply_e
+from .action import ModVec, _check_key, _clear_memo_caches, act_gamma, apply_e
 from .checks import _modvec_json
 from .ratcalc import parse_rat
 from .structure import (
@@ -52,7 +52,6 @@ from .tableau import (
     Kind,
     Shift,
     TabKey,
-    classify,
     singular_triple,
 )
 
@@ -78,17 +77,21 @@ def _parse_shift(n: int, text: str) -> Shift:
     return Shift.from_json(n, _parse_rows(text))
 
 
-def _parse_key(n: int, text: str) -> TabKey:
-    """A basis key as JSON or as 'KIND@rows' (KIND T when omitted); bad
-    input raises InputError naming --key."""
+def _parse_key(v: BaseVector, text: str) -> TabKey:
+    """A basis key of v as JSON or as 'KIND@rows' (KIND T when omitted);
+    bad input, or a label that is not a basis key, raises InputError naming
+    --key."""
     stripped = text.strip()
     try:
         if stripped.startswith("{"):
-            return TabKey.from_json(n, json.loads(stripped))
-        kind, sep, rows = stripped.partition("@")
-        if not sep:
-            kind, rows = Kind.REGULAR.value, stripped
-        return TabKey.from_json(n, {"shift": _parse_rows(rows), "kind": kind.strip()})
+            key = TabKey.from_json(v.n, json.loads(stripped))
+        else:
+            kind, sep, rows = stripped.partition("@")
+            if not sep:
+                kind, rows = Kind.REGULAR.value, stripped
+            key = TabKey.from_json(v.n, {"shift": _parse_rows(rows), "kind": kind.strip()})
+        _check_key(v, key)
+        return key
     except ValueError as exc:
         raise InputError(f"--key {text!r}: {exc}") from None
 
@@ -241,27 +244,25 @@ def _parse_generator(n: int, text: str):
 
 def _cmd_apply(args, expected: Family) -> tuple[dict, int]:
     v = _load_base_vector(args)
-    fam = classify(v).family
+    fam = v.classification.family
     if fam is not expected:
         raise InputError(f"base vector classifies as {fam.value}, expected {expected.value}")
-    n = v.n
-    keys = (
-        [_parse_key(n, k) for k in args.key]
-        if args.key
-        else [basis_key(v, Shift.zero(n))]
-    )
-    gens = [g for part in (args.apply or ["E(1,2)"]) for g in part.split() if g.strip()]
+    keys = [_parse_key(v, k) for k in args.key] if args.key else [basis_key(v, Shift.zero(v.n))]
+    parts = args.apply or ["E(1,2)"]
+    for part in parts:
+        if not part.strip():
+            raise InputError(f"--apply {part!r}: no generator given")
+    gens = [(gtext, _parse_generator(v.n, gtext)) for part in parts for gtext in part.split()]
     results = []
     for key in keys:
-        for gtext in gens:
-            gkind, gi, gj, gshift = _parse_generator(n, gtext)
+        for gtext, (gkind, gi, gj, gshift) in gens:
             if gkind == "E":
                 out = apply_e(v, gi, gj, ModVec.single(key))
             else:
                 out = act_gamma(v, gi, gj, key, shift=gshift)
             results.append(
                 {
-                    "generator": gtext.strip(),
+                    "generator": gtext,
                     "key": key.to_json(),
                     "result": _modvec_json(out),
                 }
@@ -285,13 +286,13 @@ def cmd_singular(args):
 
 def cmd_structure(args) -> tuple[dict, int]:
     v = _load_base_vector(args)
-    fam = classify(v).family
+    fam = v.classification.family
     if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise InputError("structure analysis requires a generic or one-singular vector")
     win = _window(args, v.n)
     if args.key and len(args.key) > 1:
         raise InputError(f"--key given {len(args.key)} times; structure takes one focus key")
-    key = _parse_key(v.n, args.key[0]) if args.key else basis_key(v, win.center)
+    key = _parse_key(v, args.key[0]) if args.key else basis_key(v, win.center)
     keys = win.keys(v)
     graph, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)
     if key not in graph:
@@ -337,7 +338,7 @@ def cmd_structure(args) -> tuple[dict, int]:
 
 def cmd_verdict(args) -> tuple[dict, int]:
     v = _load_base_vector(args)
-    if classify(v).family is not Family.ONE_SINGULAR:
+    if v.classification.family is not Family.ONE_SINGULAR:
         raise InputError("verdict requires a one-singular base vector")
     win = _window(args, v.n)
     verdict = irreducibility_verdict(v, win)
@@ -354,7 +355,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.sample is not None and args.sample < 0:
         raise InputError(f"--sample {args.sample}: the number of sampled pairs must be at least 0")
     v = _load_base_vector(args)
-    fam = classify(v).family
+    fam = v.classification.family
     if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise InputError("verify requires a generic or one-singular vector")
     if fam is Family.GENERIC and args.sample is not None:
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
                 sinks.append(open(args.json_out, "w", encoding="utf-8"))
             except OSError as exc:
                 raise InputError(f"--json-out {args.json_out!r}: {exc.strerror}") from None
-    except (InputError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         report, code = {"error": type(exc).__name__, "message": str(exc)}, 2
     try:
         _write_report(report, sinks)

@@ -33,7 +33,6 @@ from .tableau import (
     Kind,
     Shift,
     TabKey,
-    classify,
     singular_triple,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "DropAuditReport",
     "Verdict",
     "irreducibility_verdict",
-    "neighbor_integral_pairs",
     "key_sort_key",
 ]
 
@@ -82,7 +80,7 @@ def key_sort_key(key: TabKey):
 def basis_key(v: BaseVector, w: Shift) -> TabKey:
     """The canonical basis element labelled by the shift w: regular when the
     singular components satisfy w_ki <= w_kj, derivative otherwise."""
-    cls = classify(v)
+    cls = v.classification
     if cls.family is not Family.ONE_SINGULAR:
         return TabKey(w, Kind.REGULAR)
     k, i, j = cls.singular
@@ -159,7 +157,7 @@ def basis_N_window(v: BaseVector, w0: Shift, keys: list[TabKey]) -> set[TabKey]:
     """Window part of the predicted basis of the submodule generated by the
     tableau at w0 (generic family): the window keys whose triple set
     contains that of w0."""
-    if classify(v).family is not Family.GENERIC:
+    if v.classification.family is not Family.GENERIC:
         raise ValueError("submodule basis prediction requires a generic vector")
     base = omega_plus(v, w0)
     return {k for k in keys if base <= omega_plus(v, k)}
@@ -168,7 +166,7 @@ def basis_N_window(v: BaseVector, w0: Shift, keys: list[TabKey]) -> set[TabKey]:
 def basis_I_window(v: BaseVector, w0: Shift, keys: list[TabKey]) -> set[TabKey]:
     """Window part of the predicted irreducible subquotient basis (generic
     family): the window keys with triple set equal to that of w0."""
-    if classify(v).family is not Family.GENERIC:
+    if v.classification.family is not Family.GENERIC:
         raise ValueError("subquotient basis prediction requires a generic vector")
     base = omega_plus(v, w0)
     return {k for k in keys if omega_plus(v, k) == base}
@@ -179,7 +177,7 @@ def basis_Ik_window(v: BaseVector, key0: TabKey, keys: list[TabKey]) -> set[TabK
     one-singular family, among the given window keys; valid when no
     neighboring-row integral pair exists above the singular row."""
     k, _i, _j = singular_triple(v)
-    for r, s, t in neighbor_integral_pairs(v):
+    for r, s, t in v.integral_pairs:
         if r > k:
             raise HypothesisViolated(
                 f"rows {r} and {r - 1} carry an integral pair at positions "
@@ -206,24 +204,6 @@ class SeparatorRecipe(NamedTuple):
     a: Fraction
     beta: Fraction
     k: int | None  # singular row, present when beta != 0
-
-    def atoms(self) -> list[dict]:
-        scale = 1 / (self.a * self.a)
-        out = [
-            {"kind": "C_power", "level": [self.r, self.s], "at": self.z.to_json(), "power": 2, "scale": str(scale)}
-        ]
-        if self.beta:
-            out.append(
-                {
-                    "kind": "C_power",
-                    "level": [self.k, 2],
-                    "at": self.w.to_json(),
-                    "power": 1,
-                    "compose_with_previous": True,
-                    "scale": str(-self.beta * scale),
-                }
-            )
-        return out
 
     def apply(self, v: BaseVector, target: TabKey | ModVec) -> ModVec:
         vec = target if isinstance(target, ModVec) else ModVec.single(target)
@@ -293,7 +273,7 @@ def reach_scan(
     lists must come back empty for the audit to pass (the generic family
     admits no decrease at all).
     """
-    cls = classify(v)
+    cls = v.classification
     if audit and cls.family not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise ValueError("audit requires a generic or one-singular vector")
     report = DropAuditReport(vector=v) if audit else None
@@ -489,9 +469,12 @@ def _drop_config(
     Patterns are recognized on either singular position: the published
     displays fix one arrangement of the pair, but the swap symmetry of the
     basis produces the mirrored configurations with identical coefficient
-    mechanics.
+    mechanics.  A derivative source matches I, or II/III when the moved
+    singular entry (k, s0) equals an entry of the numerator row k +- 1; a
+    regular source matches IV/V by the same test once its singular entries
+    are equal.
     """
-    cls = classify(v)
+    cls = v.classification
     if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
         return None
     k, i, j = cls.singular
@@ -500,24 +483,16 @@ def _drop_config(
     def equal(r: int, s: int, q: int, t: int) -> bool:
         return v.int_diff(z, r, s, q, t) == 0
 
-    if src.kind is Kind.DERIVATIVE:
-        if row == k - 1 and direction > 0 and (equal(k - 1, s0, k, i) or equal(k - 1, s0, k, j)):
-            return "I"
-        if row == k and direction > 0 and s0 in (i, j):
-            if any(equal(k + 1, t, k, s0) for t in range(1, k + 2)):
-                return "II"
-        if row == k and direction < 0 and s0 in (i, j):
-            if k >= 2 and any(equal(k - 1, t, k, s0) for t in range(1, k)):
-                return "III"
+    derivative = src.kind is Kind.DERIVATIVE
+    if not (derivative or equal(k, i, k, j)):
         return None
-    if not equal(k, i, k, j):
-        return None
-    if row == k and direction > 0 and s0 in (i, j):
-        if any(equal(k + 1, t, k, i) for t in range(1, k + 2)):
-            return "IV"
-    if row == k and direction < 0 and s0 in (i, j):
-        if k >= 2 and any(equal(k - 1, t, k, i) for t in range(1, k)):
-            return "V"
+    if derivative and row == k - 1 and direction > 0 and (equal(k - 1, s0, k, i) or equal(k - 1, s0, k, j)):
+        return "I"
+    nb = k + direction
+    if row == k and s0 in (i, j) and any(equal(nb, t, k, s0) for t in range(1, nb + 1)):
+        if direction > 0:
+            return "II" if derivative else "IV"
+        return "III" if derivative else "V"
     return None
 
 
@@ -548,12 +523,6 @@ class Verdict(NamedTuple):
         return out
 
 
-def neighbor_integral_pairs(v: BaseVector) -> tuple[Triple, ...]:
-    """Triples (r, s, t) whose entries at (r, s) and (r-1, t) differ by an
-    integer, as stored on the vector."""
-    return v.integral_pairs
-
-
 def irreducibility_verdict(v: BaseVector, win: Window) -> Verdict:
     """Irreducibility of the one-singular module, with an audited witness.
 
@@ -564,7 +533,7 @@ def irreducibility_verdict(v: BaseVector, win: Window) -> Verdict:
     that its reachability closure omits interior keys.
     """
     singular_triple(v)
-    pairs = neighbor_integral_pairs(v)
+    pairs = v.integral_pairs
     graph = reach_graph(v, win)
     interior = [k for k in graph if win.is_interior(k.shift)]
     if not pairs:

@@ -34,12 +34,10 @@ __all__ = [
     "Shift",
     "TabKey",
     "BaseVector",
-    "classify",
     "singular_triple",
     "is_standard",
     "tau",
     "canonicalize",
-    "distance",
 ]
 
 
@@ -86,10 +84,6 @@ class Shift(_ShiftFields):
     def zero(cls, n: int) -> "Shift":
         return cls(n, tuple(tuple(0 for _ in range(r)) for r in range(1, n)))
 
-    @classmethod
-    def delta(cls, n: int, r: int, s: int) -> "Shift":
-        return cls.zero(n).bump(r, s, 1)
-
     def get(self, r: int, s: int) -> int:
         if r == self.n:
             return 0
@@ -101,21 +95,6 @@ class Shift(_ShiftFields):
         rows = list(list(row) for row in self.rows)
         rows[r - 1][s - 1] += amount
         return Shift(self.n, tuple(tuple(row) for row in rows))
-
-    def __add__(self, other: "Shift") -> "Shift":
-        return Shift(
-            self.n,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
-
-    def __neg__(self) -> "Shift":
-        return Shift(self.n, tuple(tuple(-a for a in row) for row in self.rows))
-
-    def __sub__(self, other: "Shift") -> "Shift":
-        return self + (-other)
 
     def swap(self, k: int, i: int, j: int) -> "Shift":
         """Exchange the entries at (k, i) and (k, j)."""
@@ -180,11 +159,15 @@ class BaseVector:
     integral pair is reached by shifting the basis label instead.
 
     The family the vector supports is decided once, on construction, and
-    kept in ``classification`` (see :func:`classify`); so are the
-    neighbouring-row integral pairs, in ``integral_pairs``: the triples
-    (r, s, t) whose positions (r, s) and (r-1, t) share an anchor.  Both are
-    derived, so equality, hashing and repr read only the four fields; no
-    attribute can be assigned after construction.
+    kept in ``classification``.  A single anchor shared by every position
+    gives the finite standard family.  Otherwise the count of same-anchor
+    pairs inside rows 1..n-1 decides: zero pairs is generic, exactly one is
+    one-singular at (k, i, j), and two or more is unsupported.
+
+    The neighbouring-row integral pairs are kept in ``integral_pairs``: the
+    triples (r, s, t) whose positions (r, s) and (r-1, t) share an anchor.
+    Both are derived, so equality, hashing and repr read only the four
+    fields; no attribute can be assigned after construction.
     """
 
     __slots__ = ("n", "anchors", "assignment", "offsets", "classification", "integral_pairs")
@@ -374,20 +357,8 @@ def _json_int(x) -> int:
     return x
 
 
-def classify(v: BaseVector) -> Classification:
-    """Which module family the base vector supports, as decided when it was
-    built.
-
-    A single anchor shared by every position gives the finite standard
-    family.  Otherwise the count of same-anchor pairs inside rows 1..n-1
-    decides: zero pairs is generic, exactly one is one-singular at (k, i, j),
-    and two or more is unsupported.
-    """
-    return v.classification
-
-
 def singular_triple(v: BaseVector) -> tuple[int, int, int]:
-    cls = classify(v)
+    cls = v.classification
     if cls.family is not Family.ONE_SINGULAR:
         raise ValueError("base vector is not one-singular")
     return cls.singular
@@ -426,7 +397,7 @@ def canonicalize(v: BaseVector, kind: Kind, w: Shift) -> tuple[TabKey, int]:
     the swapped reference carries sign -1, and a swap-fixed shift is the
     zero vector (sign 0).
     """
-    cls = classify(v)
+    cls = v.classification
     if cls.family is not Family.ONE_SINGULAR:
         if kind is Kind.DERIVATIVE:
             raise ValueError("derivative tableaux exist only in the one-singular family")
@@ -442,10 +413,3 @@ def canonicalize(v: BaseVector, kind: Kind, w: Shift) -> tuple[TabKey, int]:
     if d < 0:
         return TabKey(w.swap(k, i, j), Kind.DERIVATIVE), -1
     return TabKey(w, Kind.DERIVATIVE), 1
-
-
-def distance(z: Shift, w: Shift) -> int:
-    """L1 distance between two shifts."""
-    return sum(
-        abs(a - b) for ra, rb in zip(z.rows, w.rows) for a, b in zip(ra, rb)
-    )

@@ -223,11 +223,9 @@ def _audit_radius(v, margin=1):
     """Radius big enough that the window interior reaches past every top-row
     alignment: only the top row is frozen, so misalignment there needs the
     free row shifted beyond the integral gap."""
-    from gtmodules.structure import neighbor_integral_pairs
-
     radius = 3
     n = v.n
-    for (r, s, t) in neighbor_integral_pairs(v):
+    for (r, s, t) in v.integral_pairs:
         if r == n:
             gap = v.entry(n, s) - v.entry(n - 1, t)
             if gap >= 0:

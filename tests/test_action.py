@@ -205,9 +205,7 @@ class TestNonAdjacentSingularPair:
     from the usual (k, 1, 2) layout."""
 
     def test_classification(self, v_sing4_row3):
-        from gtmodules.tableau import classify
-
-        assert classify(v_sing4_row3).singular == (3, 1, 3)
+        assert v_sing4_row3.classification.singular == (3, 1, 3)
 
     def test_relations_hold(self, v_sing4_row3):
         from gtmodules.checks import check_relations

@@ -175,6 +175,32 @@ class TestKeyInput:
         assert report["message"] == "--center '1,0': a gl(3) shift must have 2 rows (rows 1..2), got 1"
 
 
+class TestApplyInputChecks:
+    @pytest.mark.parametrize("generator", ["c(2,2)", "C(2,2)@0,0;0", "E(1,2)"])
+    @pytest.mark.parametrize(
+        "vector,key,shown",
+        [
+            (REMARK_JSON, "DT@0,0;0", "swap-fixed derivative labels are zero and not basis keys"),
+            (GENERIC_JSON, "DT@1,0;0", "derivative tableaux exist only in the one-singular family"),
+        ],
+        ids=["swap-fixed", "generic-derivative"],
+    )
+    def test_key_checked_before_any_generator(self, capsys, generator, vector, key, shown):
+        command = "singular" if vector == REMARK_JSON else "generic"
+        code, report = run_cli(capsys, command, "--base-vector", vector, "--key", key, "--apply", generator)
+        assert code == 2
+        assert report == {"error": "InputError", "message": f"--key {key!r}: {shown}"}
+
+    @pytest.mark.parametrize("apply", [[""], ["   "], ["E(1,2)", ""]], ids=["empty", "blank", "second-empty"])
+    def test_empty_apply_exit_2(self, capsys, apply):
+        argv = ["singular", "--base-vector", REMARK_JSON]
+        for part in apply:
+            argv += ["--apply", part]
+        code, report = run_cli(capsys, *argv)
+        assert code == 2
+        assert report == {"error": "InputError", "message": f"--apply {apply[-1]!r}: no generator given"}
+
+
 class TestEmptyField:
     # an empty field in a comma list is malformed input: skipping it would
     # read the value as a different, valid one

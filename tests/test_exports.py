@@ -1,0 +1,37 @@
+"""Every exported name resolves.
+
+A deletion that leaves its name in a module's ``__all__`` breaks
+``from gtmodules.<module> import *`` only when someone runs it, and a
+package re-export of a name its module no longer lists goes unnoticed, so
+both are checked here for every module of the package.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import gtmodules
+
+MODULES = [info.name for info in pkgutil.iter_modules(gtmodules.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"gtmodules.{name}")
+    listed = getattr(module, "__all__", [])
+    assert len(set(listed)) == len(listed)
+    assert [x for x in listed if not hasattr(module, x)] == []
+
+
+def test_package_reexports_are_listed_by_their_modules():
+    tree = ast.parse(Path(gtmodules.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"gtmodules.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+            assert getattr(gtmodules, alias.name) is getattr(module, alias.name)

@@ -168,6 +168,17 @@ class TestPBWCoherence:
             vec = ModVec.single(kk)
             assert apply_casimir_pbw(v, m, k, vec) == act_gamma(v, m, k, kk)
 
+    @pytest.mark.parametrize("level", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize(
+        "raw", [key(3, [(0,), (1, 0)]), key(3, [(0,), (0, 1)], Kind.DERIVATIVE), key(3, [(2,), (3, -1)])],
+        ids=["T@1,0;0", "DT@0,1;0", "T@3,-1;2"],
+    )
+    def test_raw_labels_match_pbw(self, level, raw, v_rem):
+        # a label that is not canonical names the same vector as its swap
+        # (T) or minus it (DT); both routes must return canonical terms
+        m, k = level
+        assert apply_casimir_pbw(v_rem, m, k, ModVec.single(raw)) == act_gamma(v_rem, m, k, raw)
+
     def test_central_elements_commute(self, v_rem):
         # the tower is commutative: cross-apply two levels in both orders
         vec = ModVec.single(key(3, [(0,), (1, 0)], Kind.DERIVATIVE)) + ModVec.single(

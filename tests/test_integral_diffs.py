@@ -3,7 +3,7 @@ route they replaced.
 
 ``BaseVector.int_diff`` decides every "differ by an integer" question from
 anchor indices and offsets.  The functions below are the earlier bodies of
-``neighbor_integral_pairs``, ``omega_plus``, ``is_standard`` and
+the ``integral_pairs`` scan, ``omega_plus``, ``is_standard`` and
 ``_drop_config``, which subtract the shifted entries as ``Fraction`` values
 and test denominators and equality.  They are kept unchanged as the
 independent route the library is compared with.
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from gtmodules.structure import DropAuditReport, Window, _drop_config, omega_plus, reach_scan
-from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, classify, is_standard
+from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, is_standard
 
 
 def neighbor_integral_pairs_fraction(v: BaseVector):
@@ -59,7 +59,7 @@ def drop_config_fraction(
     s0: int,
     comp_kind: Kind,
 ) -> str | None:
-    cls = classify(v)
+    cls = v.classification
     if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
         return None
     k, i, j = cls.singular

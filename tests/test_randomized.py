@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from gtmodules.action import ModVec, act_e, act_gamma, apply_casimir_pbw, apply_e
-from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, classify, tau
+from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, tau
 
 offsets = st.integers(min_value=-3, max_value=3)
 
@@ -36,7 +36,7 @@ class TestRandomSingularVectors:
     @settings(max_examples=25, deadline=None)
     @given(singular_gl3(), shifts_gl3())
     def test_bracket_on_random_labels(self, v, w):
-        assert classify(v).singular == (2, 1, 2)
+        assert v.classification.singular == (2, 1, 2)
         vec = ModVec.single(basis_key_of(v, w))
         lhs = apply_e(v, 1, 2, apply_e(v, 2, 1, vec)) - apply_e(
             v, 2, 1, apply_e(v, 1, 2, vec)

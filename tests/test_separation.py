@@ -55,12 +55,6 @@ class TestSeparator:
         assert (recipe.r, recipe.s) == (1, 1)
         assert recipe.a == gamma_eval(v_rem, 1, 1, w) - gamma_eval(v_rem, 1, 1, z)
 
-    def test_atoms_describe_recipe(self, v_rem):
-        recipe = separator(v_rem, Shift.zero(3), Shift(3, ((0,), (1, -1))))
-        atoms = recipe.atoms()
-        assert atoms[0]["kind"] == "C_power" and atoms[0]["power"] == 2
-        assert len(atoms) == 2  # corrective factor present for this pair
-
 
 class TestSubspaceInvariance:
     def test_recipes_preserve_label_subspaces(self, v_rem):

@@ -11,6 +11,7 @@ from gtmodules.structure import (
     DropAuditReport,
     HypothesisViolated,
     Window,
+    _drop_config,
     basis_I_window,
     basis_Ik_window,
     basis_N_window,
@@ -23,7 +24,7 @@ from gtmodules.structure import (
     reach_graph,
     reach_scan,
 )
-from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, tau
+from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, tau
 
 
 def shift3(rows):
@@ -363,6 +364,78 @@ class TestDropAudit:
             len(omega_plus(v_sing_top, t)) == len(omega_plus(v_sing_top, z)) - 1
             for t in targets
         )
+
+
+def drop_config_five_branch(v, src, row, direction, s0, comp_kind):
+    """The drop-by-one matcher as five separate branches, one per
+    configuration, each testing its own source kind and row pattern: the
+    reference for the merged ``_drop_config``."""
+    cls = v.classification
+    if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
+        return None
+    k, i, j = cls.singular
+    z = src.shift
+
+    def equal(r, s, q, t):
+        return v.int_diff(z, r, s, q, t) == 0
+
+    if src.kind is Kind.DERIVATIVE:
+        if row == k - 1 and direction > 0 and (equal(k - 1, s0, k, i) or equal(k - 1, s0, k, j)):
+            return "I"
+        if row == k and direction > 0 and s0 in (i, j):
+            if any(equal(k + 1, t, k, s0) for t in range(1, k + 2)):
+                return "II"
+        if row == k and direction < 0 and s0 in (i, j):
+            if k >= 2 and any(equal(k - 1, t, k, s0) for t in range(1, k)):
+                return "III"
+        return None
+    if not equal(k, i, k, j):
+        return None
+    if row == k and direction > 0 and s0 in (i, j):
+        if any(equal(k + 1, t, k, i) for t in range(1, k + 2)):
+            return "IV"
+    if row == k and direction < 0 and s0 in (i, j):
+        if k >= 2 and any(equal(k - 1, t, k, i) for t in range(1, k)):
+            return "V"
+    return None
+
+
+# (vector, window radius, the labels its summands meet): the one-singular
+# gl(3) vector of the golden corpus, the first vector of the
+# singular4-structure benchmark at seed 0, and a gl(3) vector whose top row
+# shares the singular anchor, the one that meets II and IV
+DROP_CASES = {
+    "singular3-r2": (BaseVector.from_rows([["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]]), 2, {"I", "III", "V"}),
+    "singular3-top-r2": (BaseVector.from_rows([["8/7", "1/3", "1/5"], ["1/7", "1/7"], ["1/11"]]), 2, {"II", "IV"}),
+    "singular4-seed0-r1": (
+        BaseVector.from_json({
+            "n": 4,
+            "anchors": [f"{k}/29" for k in (25, 14, 2, 9, 17, 16, 13, 10)],
+            "assignment": [[0, 1, 2, 3], [4, 5, 6], [7, 7], [7]],
+            "offsets": [[0, 0, 0, 0], [0, 0, 0], [0, 0], [0]],
+        }),
+        1,
+        {"I", "III", "V"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROP_CASES))
+def test_merged_drop_config_matches_five_branches(case):
+    # every summand of every window key, read with the source as a regular
+    # and as a derivative tableau, so both halves of the matcher run on each
+    v, radius, expected = DROP_CASES[case]
+    labels = set()
+    for key in Window(center=Shift.zero(v.n), radius=radius).keys(v):
+        for r in range(1, v.n):
+            for a, b in ((r, r + 1), (r + 1, r)):
+                for s0, comp_kind, _target, _coeff in _summands(v, a, b, key):
+                    for kind in Kind:
+                        args = (TabKey(key.shift, kind), r, b - a, s0, comp_kind)
+                        got = _drop_config(v, *args)
+                        assert got == drop_config_five_branch(v, *args), args
+                        labels.add(got)
+    assert labels == {None} | expected
 
 
 class TestWWStarInvariance:

@@ -11,8 +11,6 @@ from gtmodules.tableau import (
     Shift,
     TabKey,
     canonicalize,
-    classify,
-    distance,
     is_standard,
     singular_triple,
     tau,
@@ -21,28 +19,28 @@ from gtmodules.tableau import (
 
 class TestClassification:
     def test_fully_generic(self, v_gen3):
-        assert classify(v_gen3).family is Family.GENERIC
+        assert v_gen3.classification.family is Family.GENERIC
 
     def test_one_singular_remark_pattern(self, v_rem):
-        cls = classify(v_rem)
+        cls = v_rem.classification
         assert cls.family is Family.ONE_SINGULAR
         assert cls.singular == (2, 1, 2)
 
     def test_row1_anchor_change_still_singular(self):
         # (a, b, c | x, x | y): distinct bottom anchor, same singular pair
         v = BaseVector.from_rows([[F(1, 2), F(1, 3), F(1, 5)], [F(1, 7), F(1, 7)], [F(1, 11)]])
-        assert classify(v).singular == (2, 1, 2)
+        assert v.classification.singular == (2, 1, 2)
 
     def test_two_pairs_unsupported(self):
         q = [F(k, 17) for k in range(1, 8)]
         v = BaseVector.from_rows([[q[0], q[1], q[2], q[3]], [q[4], q[4], q[4]], [q[5], q[6]], [q[0] + 2]])
-        assert classify(v).family is Family.UNSUPPORTED
+        assert v.classification.family is Family.UNSUPPORTED
 
     def test_finite_family(self, v_fin2):
-        assert classify(v_fin2).family is Family.FINITE_STANDARD
+        assert v_fin2.classification.family is Family.FINITE_STANDARD
 
     def test_cross_row_sharing_stays_generic(self, v_gen3_chain):
-        assert classify(v_gen3_chain).family is Family.GENERIC
+        assert v_gen3_chain.classification.family is Family.GENERIC
 
 
 class TestValidation:
@@ -150,18 +148,6 @@ class TestCanonicalize:
         assert sign == 1 and key.kind is Kind.REGULAR
         with pytest.raises(ValueError):
             canonicalize(v_gen3, Kind.DERIVATIVE, Shift.zero(3))
-
-
-class TestDistance:
-    def test_zero_on_equal(self):
-        z = Shift(3, ((1,), (2, -1)))
-        assert distance(z, z) == 0
-
-    def test_unit_shift(self):
-        assert distance(Shift.zero(3), Shift.delta(3, 2, 1)) == 1
-
-    def test_opposite_units(self):
-        assert distance(Shift.delta(3, 1, 1), -Shift.delta(3, 1, 1)) == 2
 
 
 class TestAnchorSoundness:
