@@ -62,7 +62,7 @@ class ModVec:
     __slots__ = ("_terms",)
 
     def __init__(self, pairs=()):
-        """Sum (key, coefficient) pairs, or a dict of key -> coefficient.
+        """Sum (key, coefficient) pairs.
 
         This is the one fold that builds every vector.  Zero coefficients
         are skipped; a key seen first stores the given coefficient object;
@@ -70,7 +70,7 @@ class ModVec:
         end.  The library passes only ``Fraction`` coefficients.
         """
         terms: dict[TabKey, Fraction] = {}
-        for key, coeff in pairs.items() if isinstance(pairs, dict) else pairs:
+        for key, coeff in pairs:
             if not coeff:
                 continue
             old = terms.get(key)
@@ -117,9 +117,6 @@ class ModVec:
     def scale(self, c: Fraction | int) -> "ModVec":
         c = Fraction(c)
         return ModVec((k, c * x) for k, x in self._terms.items())
-
-    def __neg__(self) -> "ModVec":
-        return self.scale(-1)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -52,6 +52,7 @@ from .tableau import (
     Kind,
     Shift,
     TabKey,
+    canonicalize,
     singular_triple,
 )
 
@@ -139,7 +140,7 @@ def _load_base_vector(args) -> BaseVector:
 
 
 def _window(args, n: int) -> Window:
-    margin = getattr(args, "margin", 1)  # verify takes no --margin: no suite reads one
+    margin = getattr(args, "margin", 1)  # only verdict reads a margin
     if args.radius < 1:
         raise InputError(f"--radius {args.radius}: the window radius must be at least 1")
     if not 0 <= margin <= args.radius:
@@ -292,7 +293,11 @@ def cmd_structure(args) -> tuple[dict, int]:
     win = _window(args, v.n)
     if args.key and len(args.key) > 1:
         raise InputError(f"--key given {len(args.key)} times; structure takes one focus key")
-    key = _parse_key(v, args.key[0]) if args.key else basis_key(v, win.center)
+    if args.key:  # a label and its row-k swap name one basis key, up to sign
+        key = _parse_key(v, args.key[0])
+        key = canonicalize(v, key.kind, key.shift)[0]
+    else:
+        key = basis_key(v, win.center)
     keys = win.keys(v)
     graph, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)
     if key not in graph:
@@ -443,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("structure", help="window structure report")
     common(q)
-    q.add_argument("--margin", type=int, default=1, help="interior margin (default 1)")
     q.add_argument("--key", action="append", help="focus key (default: window center)")
     q.set_defaults(func=cmd_structure)
 

@@ -108,32 +108,21 @@ class Window(_WindowFields):
         return tuple.__new__(cls, (center, radius, margin))
 
     def shifts(self) -> list[Shift]:
-        n = self.center.n
-        positions = [(r, s) for r in range(1, n) for s in range(1, r + 1)]
-        ranges = [
-            range(self.center.get(r, s) - self.radius, self.center.get(r, s) + self.radius + 1)
-            for (r, s) in positions
-        ]
-        out = []
-        for combo in product(*ranges):
-            rows = []
-            idx = 0
-            for r in range(1, n):
-                rows.append(tuple(combo[idx : idx + r]))
-                idx += r
-            out.append(Shift(n, tuple(rows)))
-        return out
+        """Every shift of the box, the last position varying fastest.  Each
+        row's candidates are built once, so the shifts share row tuples."""
+        R = self.radius
+        rows = (product(*(range(c - R, c + R + 1) for c in row)) for row in self.center.rows)
+        return [Shift(self.center.n, combo) for combo in product(*rows)]
 
     def contains(self, w: Shift) -> bool:
-        return all(
-            abs(w.get(r, s) - self.center.get(r, s)) <= self.radius
-            for (r, s) in self.center.positions()
-        )
+        return self._within(w, self.radius)
 
     def is_interior(self, w: Shift) -> bool:
+        return self._within(w, self.radius - self.margin)
+
+    def _within(self, w: Shift, bound: int) -> bool:
         return all(
-            abs(w.get(r, s) - self.center.get(r, s)) <= self.radius - self.margin
-            for (r, s) in self.center.positions()
+            abs(x - c) <= bound for row, crow in zip(w.rows, self.center.rows) for x, c in zip(row, crow)
         )
 
     def keys(self, v: BaseVector) -> list[TabKey]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .ratcalc import parse_rat
 
@@ -101,11 +101,6 @@ class Shift(_ShiftFields):
         rows = list(list(row) for row in self.rows)
         rows[k - 1][i - 1], rows[k - 1][j - 1] = rows[k - 1][j - 1], rows[k - 1][i - 1]
         return Shift(self.n, tuple(tuple(row) for row in rows))
-
-    def positions(self) -> Iterator[tuple[int, int]]:
-        for r in range(1, self.n):
-            for s in range(1, r + 1):
-                yield (r, s)
 
     def to_json(self) -> list[list[int]]:
         """Rows listed top down (row n-1 first), matching the vector layout."""

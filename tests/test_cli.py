@@ -259,8 +259,8 @@ class TestFlagChecks:
             (["verify", "--radius", "1", "--sample", "-3"], "--sample -3: "),
             (["verify", "--radius", "0"], "--radius 0: "),
             (["verdict", "--radius", "0"], "--radius 0: "),
-            (["structure", "--radius", "1", "--margin", "3"], "--margin 3: "),
-            (["structure", "--radius", "2", "--margin", "-1"], "--margin -1: "),
+            (["verdict", "--radius", "1", "--margin", "3"], "--margin 3: "),
+            (["verdict", "--radius", "2", "--margin", "-1"], "--margin -1: "),
         ],
         ids=["sample", "verify-radius", "verdict-radius", "margin-above", "margin-negative"],
     )
@@ -287,6 +287,14 @@ class TestIgnoredFlags:
         # no verify suite reads a margin, so --margin would change nothing
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--radius", "1", "--margin", "0", "--base-vector", REMARK_JSON])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --margin 0" in capsys.readouterr().err
+
+    def test_structure_margin_is_not_a_flag(self, capsys):
+        # no structure computation reads a margin; the report still echoes the
+        # window default of 1
+        with pytest.raises(SystemExit) as exc:
+            main(["structure", "--radius", "1", "--margin", "0", "--base-vector", REMARK_JSON])
         assert exc.value.code == 2
         assert "unrecognized arguments: --margin 0" in capsys.readouterr().err
 
@@ -367,6 +375,14 @@ class TestStructureCommand:
         )
         assert code == 2
         assert "not a basis key of the window" in report["message"]
+
+    @pytest.mark.parametrize("given,canonical", [("T@1,0;0", "T@0,1;0"), ("DT@0,1;0", "DT@1,0;0")])
+    def test_swapped_focus_key_reports_as_its_canonical_key(self, capsys, given, canonical):
+        # a label and its row-2 swap name one basis key, up to sign for DT
+        argv = ["structure", "--base-vector", REMARK_JSON, "--radius", "2", "--key"]
+        code, report = run_cli(capsys, *argv, given)
+        assert code == 0
+        assert report == run_cli(capsys, *argv, canonical)[1]
 
     def test_finite_vector_rejected(self, capsys):
         finite = json.dumps({"rows": [["2", "0", "-2"], ["0", "0"], ["0"]]})

