@@ -10,12 +10,11 @@ from fractions import Fraction as F
 from gtmodules.action import act_e
 from gtmodules.structure import (
     Window,
-    basis_I_window,
-    basis_N_window,
     basis_key,
+    omega_classes,
     omega_plus,
     reach_closure,
-    reach_graph,
+    reach_scan,
 )
 from gtmodules.tableau import BaseVector, Shift
 
@@ -37,12 +36,13 @@ def main():
     print(f"\nwindow: {len(win.shifts())} labels, radius {win.radius}")
     om = omega_plus(v, key)
     print("triple set of the center:", sorted(om))
-    n_basis = basis_N_window(v, key.shift, win.keys(v))
-    i_basis = basis_I_window(v, key.shift, win.keys(v))
+    keys = win.keys(v)
+    classes = omega_classes(v, keys)
+    n_basis = [k for c, members in classes.items() if om <= c for k in members]
     print(f"predicted submodule basis in window: {len(n_basis)} labels")
-    print(f"predicted irreducible subquotient:   {len(i_basis)} labels")
+    print(f"predicted irreducible subquotient:   {len(classes[om])} labels")
 
-    closure = reach_closure(reach_graph(v, win), key)
+    closure = reach_closure(reach_scan(v, keys)[0], key)
     print(f"reachability closure from the center: {len(closure)} labels")
     interior_cl = {k for k in closure if win.is_interior(k.shift)}
     interior_n = {k for k in n_basis if win.is_interior(k.shift)}

@@ -35,16 +35,13 @@ from .structure import (
     SeparatorRecipe,
     Verdict,
     Window,
-    basis_I_window,
-    basis_Ik_window,
-    basis_N_window,
     basis_key,
     irreducibility_verdict,
+    omega_classes,
     omega_k_plus,
     omega_plus,
     reach_closure,
     reach_components,
-    reach_graph,
     reach_scan,
     separator,
 )

@@ -35,11 +35,9 @@ from .ratcalc import parse_rat
 from .structure import (
     HypothesisViolated,
     Window,
-    basis_I_window,
-    basis_Ik_window,
-    basis_N_window,
     basis_key,
     irreducibility_verdict,
+    omega_classes,
     omega_k_plus,
     omega_plus,
     reach_closure,
@@ -319,22 +317,20 @@ def cmd_structure(args) -> tuple[dict, int]:
         "sizes": [len(c) for c in components[:10]],
     }
     if fam is Family.GENERIC:
-        report["basis_N_window_size"] = len(basis_N_window(v, key.shift, keys))
-        report["basis_I_window_size"] = len(basis_I_window(v, key.shift, keys))
-        classes: dict[frozenset, int] = {}
-        for kk in graph:
-            om = omega_plus(v, kk)
-            classes[om] = classes.get(om, 0) + 1
+        classes = omega_classes(v, keys)
+        om = omega_plus(v, key)
+        report["basis_N_window_size"] = sum(len(members) for c, members in classes.items() if om <= c)
+        report["basis_I_window_size"] = len(classes[om])
         report["omega_classes"] = [
-            {"omega_plus": sorted(list(t) for t in om), "size": cnt}
-            for om, cnt in sorted(classes.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+            {"omega_plus": sorted(list(t) for t in c), "size": len(members)}
+            for c, members in sorted(classes.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
         ]
     else:
         k, i, j = singular_triple(v)
         report["singular"] = [k, i, j]
         report["omega_k_plus"] = sorted(list(t) for t in omega_k_plus(v, key))
         try:
-            report["basis_Ik_window_size"] = len(basis_Ik_window(v, key, keys))
+            report["basis_Ik_window_size"] = len(omega_classes(v, keys)[omega_k_plus(v, key)])
         except HypothesisViolated as exc:
             report["basis_Ik_window_error"] = str(exc)
         report["drop_audit"] = audit.to_json()

@@ -4,10 +4,11 @@ The lattice of basis keys is infinite; every statement here is therefore
 audited on an L-infinity window of shifts around a center, with an interior
 margin so that boundary truncation can only under-approximate reachability.
 The module provides the non-negative-integral-difference triple sets that
-control submodule structure, the predicted window bases of submodules and
-irreducible subquotients, separating elements of the commuting subalgebra,
-the irreducibility verdict with a reducibility witness, and the window's
-single-generator edges.  One walk over the generator summands,
+control submodule structure, the window keys grouped by triple set (every
+predicted window basis of a submodule or irreducible subquotient is read
+from :func:`omega_classes`), separating elements of the commuting
+subalgebra, the irreducibility verdict with a reducibility witness, and the
+window's single-generator edges.  One walk over the generator summands,
 :func:`reach_scan`, gives both the reachability graph (read by its
 transitive closure and strongly connected components) and the audit of how
 the triple-set size can drop along those edges.
@@ -44,12 +45,9 @@ __all__ = [
     "basis_key",
     "omega_plus",
     "omega_k_plus",
-    "basis_N_window",
-    "basis_I_window",
-    "basis_Ik_window",
+    "omega_classes",
     "SeparatorRecipe",
     "separator",
-    "reach_graph",
     "reach_scan",
     "reach_closure",
     "reach_components",
@@ -142,38 +140,30 @@ def omega_k_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
     return frozenset(t for t in omega_plus(v, key) if t[0] <= k)
 
 
-def basis_N_window(v: BaseVector, w0: Shift, keys: list[TabKey]) -> set[TabKey]:
-    """Window part of the predicted basis of the submodule generated by the
-    tableau at w0 (generic family): the window keys whose triple set
-    contains that of w0."""
+def omega_classes(v: BaseVector, keys: list[TabKey]) -> dict[frozenset[Triple], list[TabKey]]:
+    """The window keys grouped by triple set, classes and members in
+    first-seen key order: the predicted window bases of the irreducible
+    subquotients.
+
+    A generic vector groups by Omega+; the submodule generated by T has the
+    union of the classes whose set contains Omega+(T) as its window basis.
+    A one-singular vector groups by the restricted set Omega_k+, which is
+    valid when no neighboring-row integral pair lies above the singular row.
+    """
+    omega = omega_plus
     if v.classification.family is not Family.GENERIC:
-        raise ValueError("submodule basis prediction requires a generic vector")
-    base = omega_plus(v, w0)
-    return {k for k in keys if base <= omega_plus(v, k)}
-
-
-def basis_I_window(v: BaseVector, w0: Shift, keys: list[TabKey]) -> set[TabKey]:
-    """Window part of the predicted irreducible subquotient basis (generic
-    family): the window keys with triple set equal to that of w0."""
-    if v.classification.family is not Family.GENERIC:
-        raise ValueError("subquotient basis prediction requires a generic vector")
-    base = omega_plus(v, w0)
-    return {k for k in keys if omega_plus(v, k) == base}
-
-
-def basis_Ik_window(v: BaseVector, key0: TabKey, keys: list[TabKey]) -> set[TabKey]:
-    """Window part of the irreducible subquotient basis through key0 in the
-    one-singular family, among the given window keys; valid when no
-    neighboring-row integral pair exists above the singular row."""
-    k, _i, _j = singular_triple(v)
-    for r, s, t in v.integral_pairs:
-        if r > k:
-            raise HypothesisViolated(
-                f"rows {r} and {r - 1} carry an integral pair at positions "
-                f"({r},{s}) and ({r - 1},{t})"
-            )
-    base = omega_k_plus(v, key0)
-    return {kk for kk in keys if omega_k_plus(v, kk) == base}
+        k, _i, _j = singular_triple(v)
+        for r, s, t in v.integral_pairs:
+            if r > k:
+                raise HypothesisViolated(
+                    f"rows {r} and {r - 1} carry an integral pair at positions "
+                    f"({r},{s}) and ({r - 1},{t})"
+                )
+        omega = omega_k_plus
+    classes: dict[frozenset[Triple], list[TabKey]] = {}
+    for key in keys:
+        classes.setdefault(omega(v, key), []).append(key)
+    return classes
 
 
 class SeparatorRecipe(NamedTuple):
@@ -289,12 +279,6 @@ def reach_scan(
             targets.update(dict.fromkeys(act_gamma(v, k, 2, key, shift=key.shift).support()))
         graph[key] = [window[tkey] for tkey in targets if tkey in window]
     return graph, report
-
-
-def reach_graph(v: BaseVector, win: Window) -> dict[TabKey, list[TabKey]]:
-    """Single-generator reachability digraph on the window keys, in window
-    order: :func:`reach_scan` without the drop audit."""
-    return reach_scan(v, win.keys(v))[0]
 
 
 def reach_closure(graph: dict[TabKey, list[TabKey]], key: TabKey) -> frozenset[TabKey]:
@@ -523,7 +507,7 @@ def irreducibility_verdict(v: BaseVector, win: Window) -> Verdict:
     """
     singular_triple(v)
     pairs = v.integral_pairs
-    graph = reach_graph(v, win)
+    graph = reach_scan(v, win.keys(v))[0]
     interior = [k for k in graph if win.is_interior(k.shift)]
     if not pairs:
         closure = reach_closure(graph, basis_key(v, win.center))

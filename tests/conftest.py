@@ -31,6 +31,13 @@ def v_gen3_chain():
 
 
 @pytest.fixture(scope="session")
+def v_gen4_chain():
+    """Generic gl(4) with a cross-row anchor chain through every row."""
+    x = F(1, 7)
+    return BaseVector.from_rows([[x, F(1, 3), F(1, 5), F(1, 13)], [x - 1, F(1, 11), F(1, 17)], [x + 1, F(1, 19)], [x]])
+
+
+@pytest.fixture(scope="session")
 def v_rem():
     """The reducible one-singular gl(3) vector (a, b, c | x, x | x)."""
     a, b, c, x = F(1, 2), F(1, 3), F(1, 5), F(1, 7)
@@ -56,6 +63,13 @@ def v_sing4():
     """One-singular gl(4), singular pair in row 2, all other anchors fresh."""
     q = [F(k, 19) for k in range(1, 10)]
     return BaseVector.from_rows([[q[0], q[1], q[2], q[3]], [q[4], q[5], q[6]], [q[7], q[7]], [q[8]]])
+
+
+@pytest.fixture(scope="session")
+def v_sing4_rem():
+    """One-singular gl(4), the singular pair in row 2 aligned with row 1."""
+    q = [F(k, 19) for k in range(1, 10)]
+    return BaseVector.from_rows([[q[0], q[1], q[2], q[3]], [q[4], q[5], q[6]], [q[7], q[7]], [q[7]]])
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ PASS line per criterion.
 """
 
 import time
-from collections import defaultdict
 
 from gtmodules.action import (
     ModVec,
@@ -23,15 +22,12 @@ from gtmodules.checks import (
 from gtmodules.cli import _enumerate_standard
 from gtmodules.structure import (
     Window,
-    basis_I_window,
-    basis_Ik_window,
-    basis_N_window,
     basis_key,
     irreducibility_verdict,
+    omega_classes,
     omega_k_plus,
     omega_plus,
     reach_closure,
-    reach_graph,
     reach_scan,
 )
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize, tau
@@ -167,35 +163,35 @@ def test_criterion_6_omega_drop_bound(v_gen3_chain, v_rem, win3):
 
 def test_criterion_7_subquotient_bases(v_gen3_chain, v_rem, win3):
     # generic: closure equals the predicted submodule basis on the interior
-    graph = reach_graph(v_gen3_chain, win3)
+    keys = win3.keys(v_gen3_chain)
+    graph = reach_scan(v_gen3_chain, keys)[0]
+    classes = omega_classes(v_gen3_chain, keys)
     interior = [k for k in graph if win3.is_interior(k.shift)]
     for key in interior:
         closure = reach_closure(graph, key)
         cl_int = {t for t in closure if win3.is_interior(t.shift)}
-        n_int = {t for t in basis_N_window(v_gen3_chain, key.shift, list(graph)) if win3.is_interior(t.shift)}
+        om = omega_plus(v_gen3_chain, key)
+        n_int = {t for c, members in classes.items() if om <= c for t in members if win3.is_interior(t.shift)}
         assert cl_int == n_int
-        i_int = {t for t in basis_I_window(v_gen3_chain, key.shift, list(graph)) if win3.is_interior(t.shift)}
-        assert i_int <= cl_int
+        assert {t for t in classes[om] if win3.is_interior(t.shift)} <= cl_int
     # singular satisfying the restricted-basis hypothesis: interior classes
     # are strongly connected
-    graph_s = reach_graph(v_rem, win3)
+    keys_s = win3.keys(v_rem)
+    graph_s = reach_scan(v_rem, keys_s)[0]
     interior_s = [k for k in graph_s if win3.is_interior(k.shift)]
-    classes = defaultdict(list)
-    for k in interior_s:
-        classes[omega_k_plus(v_rem, k)].append(k)
+    classes_s = omega_classes(v_rem, interior_s)
     closures = {k: reach_closure(graph_s, k) for k in interior_s}
-    for members in classes.values():
+    for members in classes_s.values():
         for k1 in members:
             for k2 in members:
                 assert k2 in closures[k1]
     # and the window prediction agrees with the class partition
+    window_classes = omega_classes(v_rem, keys_s)
     for k in interior_s:
-        cls = basis_Ik_window(v_rem, k, list(graph_s))
-        assert {t for t in cls if win3.is_interior(t.shift)} == set(
-            classes[omega_k_plus(v_rem, k)]
-        )
+        cls = window_classes[omega_k_plus(v_rem, k)]
+        assert [t for t in cls if win3.is_interior(t.shift)] == classes_s[omega_k_plus(v_rem, k)]
     report(f"7 PASS: generic interior closure equals the predicted submodule basis for "
-           f"{len(interior)} keys; all {len(classes)} interior singular classes "
+           f"{len(interior)} keys; all {len(classes_s)} interior singular classes "
            f"strongly connected")
 
 
@@ -238,7 +234,7 @@ def test_criterion_8_irreducibility_verdicts(win3):
         verdict = irreducibility_verdict(v, win3)
         assert verdict.status == "irreducible"
         assert verdict.neighbor_integral_pairs == ()
-        graph = reach_graph(v, win3)
+        graph = reach_scan(v, win3.keys(v))[0]
         interior = [k for k in graph if win3.is_interior(k.shift)]
         for key in interior:
             closure = reach_closure(graph, key)

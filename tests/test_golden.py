@@ -35,6 +35,8 @@ def _rows(*rows):
 SINGULAR3 = _rows(["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"])
 # gl(3) irreducible one-singular vector: no neighboring-row integral pair
 SINGULAR3_IRR = _rows(["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/11"])
+# gl(3) one-singular vector with an integral pair above row 2 (rows 3 and 2)
+SINGULAR3_TOP = _rows(["8/7", "1/3", "1/5"], ["1/7", "1/7"], ["1/11"])
 # gl(3) generic vector with a cross-row anchor chain (x, ., . | x-1, . | x+1)
 GENERIC3_CHAIN = _rows(["1/7", "1/3", "1/5"], ["-6/7", "1/11"], ["8/7"])
 # gl(4) one-singular vector with entries k/19 and the pair in row 2
@@ -69,6 +71,8 @@ CASES = {
     ],
     "singular3-verify-r1": ["verify", "--radius", "1", "--base-vector", SINGULAR3],
     "singular3-structure-r2": ["structure", "--radius", "2", "--base-vector", SINGULAR3],
+    # the one-singular hypothesis fails, so the report carries basis_Ik_window_error
+    "singular3-top-structure-r2": ["structure", "--radius", "2", "--base-vector", SINGULAR3_TOP],
     # off-centre window and a derivative focus key: targets are looked up in a
     # window that is not swap-symmetric
     "singular3-structure-r2-offcentre": [

@@ -1,6 +1,5 @@
 import json
 import random
-from collections import defaultdict
 from fractions import Fraction as F
 from itertools import product
 
@@ -14,19 +13,22 @@ from gtmodules.structure import (
     HypothesisViolated,
     Window,
     _drop_config,
-    basis_I_window,
-    basis_Ik_window,
-    basis_N_window,
     basis_key,
     irreducibility_verdict,
+    omega_classes,
     omega_k_plus,
     omega_plus,
     reach_closure,
     reach_components,
-    reach_graph,
     reach_scan,
+    singular_triple,
 )
 from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, tau
+
+
+def reach_graph(v, win):
+    """The reach graph on every key of the window, without the drop audit."""
+    return reach_scan(v, win.keys(v))[0]
 
 
 def shift3(rows):
@@ -137,29 +139,95 @@ class TestOmegaSets:
         )
 
 
+def old_basis_N_window(v, w0, keys):
+    """The submodule basis prediction before the window keys were grouped
+    once: a rescan of the window per query."""
+    if v.classification.family is not Family.GENERIC:
+        raise ValueError("submodule basis prediction requires a generic vector")
+    base = omega_plus(v, w0)
+    return {k for k in keys if base <= omega_plus(v, k)}
+
+
+def old_basis_I_window(v, w0, keys):
+    if v.classification.family is not Family.GENERIC:
+        raise ValueError("subquotient basis prediction requires a generic vector")
+    base = omega_plus(v, w0)
+    return {k for k in keys if omega_plus(v, k) == base}
+
+
+def old_basis_Ik_window(v, key0, keys):
+    k, _i, _j = singular_triple(v)
+    for r, s, t in v.integral_pairs:
+        if r > k:
+            raise HypothesisViolated(
+                f"rows {r} and {r - 1} carry an integral pair at positions "
+                f"({r},{s}) and ({r - 1},{t})"
+            )
+    base = omega_k_plus(v, key0)
+    return {kk for kk in keys if omega_k_plus(v, kk) == base}
+
+
+def submodule_basis(classes, om):
+    """The predicted submodule basis through a generic key with triple set
+    om: the union of the classes whose triple set contains om."""
+    return {k for c, members in classes.items() if om <= c for k in members}
+
+
 class TestWindowBases:
+    CASES = {
+        "gen3_chain-r1": ("v_gen3_chain", 1),
+        "gen3_chain-r2": ("v_gen3_chain", 2),
+        "gen3-r1": ("v_gen3", 1),
+        "gen4_chain-r1": ("v_gen4_chain", 1),
+        "rem-r1": ("v_rem", 1),
+        "rem-r2": ("v_rem", 2),
+        "sing4_rem-r1": ("v_sing4_rem", 1),
+        "sing_irr-r1": ("v_sing_irr", 1),
+        "sing_irr-r2": ("v_sing_irr", 2),
+        "sing4-r1": ("v_sing4", 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_classes_match_the_window_rescans(self, request, case):
+        vector, radius = self.CASES[case]
+        v = request.getfixturevalue(vector)
+        keys = Window(center=Shift.zero(v.n), radius=radius).keys(v)
+        classes = omega_classes(v, keys)
+        generic = v.classification.family is Family.GENERIC
+        omega = omega_plus if generic else omega_k_plus
+        assert list(classes) == list(dict.fromkeys(omega(v, k) for k in keys))
+        for c, members in classes.items():
+            assert members == [k for k in keys if omega(v, k) == c]
+        for key in keys:
+            if generic:
+                assert set(classes[omega_plus(v, key)]) == old_basis_I_window(v, key.shift, keys)
+                assert submodule_basis(classes, omega_plus(v, key)) == old_basis_N_window(v, key.shift, keys)
+            else:
+                assert set(classes[omega_k_plus(v, key)]) == old_basis_Ik_window(v, key, keys)
+
+    def test_other_families_rejected(self, v_fin3_210):
+        with pytest.raises(ValueError):
+            omega_classes(v_fin3_210, [basis_key(v_fin3_210, Shift.zero(3))])
+
     def test_fully_generic_every_key(self, v_gen3, win3_r1):
         keys = win3_r1.keys(v_gen3)
-        assert basis_N_window(v_gen3, Shift.zero(3), keys) == set(keys)
-        assert basis_I_window(v_gen3, Shift.zero(3), keys) == set(keys)
+        assert omega_classes(v_gen3, keys) == {frozenset(): keys}
 
     def test_subset_and_monotone(self, v_gen3_chain, win3_r1, win3):
-        w0 = Shift.zero(3)
-        n_small = basis_N_window(v_gen3_chain, w0, win3_r1.keys(v_gen3_chain))
-        n_large = basis_N_window(v_gen3_chain, w0, win3.keys(v_gen3_chain))
-        assert basis_I_window(v_gen3_chain, w0, win3_r1.keys(v_gen3_chain)) <= n_small
+        om = omega_plus(v_gen3_chain, Shift.zero(3))
+        small = omega_classes(v_gen3_chain, win3_r1.keys(v_gen3_chain))
+        n_small = submodule_basis(small, om)
+        n_large = submodule_basis(omega_classes(v_gen3_chain, win3.keys(v_gen3_chain)), om)
+        assert set(small[om]) <= n_small
         assert n_small <= n_large
 
     def test_equality_classes_partition(self, v_gen3_chain, win3_r1):
         keys = win3_r1.keys(v_gen3_chain)
-        seen = set()
-        for key in keys:
-            cls = frozenset(basis_I_window(v_gen3_chain, key.shift, keys))
-            assert key in cls
-            for other in cls:
-                assert omega_plus(v_gen3_chain, other) == omega_plus(v_gen3_chain, key)
-            seen.add(cls)
-        assert sum(len(c) for c in seen) == len(keys)
+        classes = omega_classes(v_gen3_chain, keys)
+        for c, members in classes.items():
+            assert all(omega_plus(v_gen3_chain, k) == c for k in members)
+        flat = [k for members in classes.values() for k in members]
+        assert len(flat) == len(keys) and set(flat) == set(keys)
 
     def test_remark_labels_in_different_classes(self, v_rem, win3):
         base = omega_k_plus(v_rem, basis_key(v_rem, Shift.zero(3)))
@@ -170,32 +238,30 @@ class TestWindowBases:
         # a key whose triple set is maximal accepts only equal-or-larger sets
         keys = win3_r1.keys(v_gen3_chain)
         w0 = max(keys, key=lambda k: len(omega_plus(v_gen3_chain, k)))
-        for member in basis_N_window(v_gen3_chain, w0.shift, keys):
-            assert omega_plus(v_gen3_chain, member) >= omega_plus(v_gen3_chain, w0)
+        om = omega_plus(v_gen3_chain, w0)
+        for member in submodule_basis(omega_classes(v_gen3_chain, keys), om):
+            assert omega_plus(v_gen3_chain, member) >= om
 
     def test_ik_requires_hypothesis(self, v_sing_top, v_rem, win3_r1):
         # top row shares the singular anchor: rows 3 and 2 carry an integral
         # pair, which breaks the restricted-basis hypothesis
-        with pytest.raises(HypothesisViolated):
-            basis_Ik_window(v_sing_top, basis_key(v_sing_top, Shift.zero(3)), win3_r1.keys(v_sing_top))
-        classes = basis_Ik_window(v_rem, basis_key(v_rem, Shift.zero(3)), win3_r1.keys(v_rem))
-        assert basis_key(v_rem, Shift.zero(3)) in classes
+        with pytest.raises(HypothesisViolated, match=r"rows 3 and 2 .* \(3,1\) and \(2,1\)"):
+            omega_classes(v_sing_top, win3_r1.keys(v_sing_top))
+        key = basis_key(v_rem, Shift.zero(3))
+        assert key in omega_classes(v_rem, win3_r1.keys(v_rem))[omega_k_plus(v_rem, key)]
 
     def test_ik_whole_window_when_no_alignment(self, v_sing_irr, win3):
         # empty restricted triple sets everywhere: one class, the whole window
-        cls = basis_Ik_window(v_sing_irr, basis_key(v_sing_irr, Shift.zero(3)), win3.keys(v_sing_irr))
-        assert cls == set(win3.keys(v_sing_irr))
+        keys = win3.keys(v_sing_irr)
+        assert omega_classes(v_sing_irr, keys) == {frozenset(): keys}
 
     def test_ik_classes_partition(self, v_rem, win3_r1):
         keys = win3_r1.keys(v_rem)
-        total = 0
-        seen = set()
-        for key in keys:
-            cls = frozenset(basis_Ik_window(v_rem, key, keys))
-            if cls not in seen:
-                seen.add(cls)
-                total += len(cls)
-        assert total == len(keys)
+        classes = omega_classes(v_rem, keys)
+        for c, members in classes.items():
+            assert all(omega_k_plus(v_rem, k) == c for k in members)
+        flat = [k for members in classes.values() for k in members]
+        assert len(flat) == len(keys) and set(flat) == set(keys)
 
 
 class TestReachability:
@@ -251,10 +317,7 @@ class TestReachability:
         # inside an equality class fully interior to the window, every member
         # reaches every other
         interior = [k for k in win3.keys(v_gen3_chain) if win3.is_interior(k.shift)]
-        classes = defaultdict(list)
-        for k in interior:
-            classes[omega_plus(v_gen3_chain, k)].append(k)
-        om, members = max(classes.items(), key=lambda kv: len(kv[1]))
+        members = max(omega_classes(v_gen3_chain, interior).values(), key=len)
         graph = reach_graph(v_gen3_chain, win3)
         for k1 in members[:4]:
             closure = reach_closure(graph, k1)
@@ -560,7 +623,7 @@ class TestTopPartLemma:
         # another as in the generic case of the bottom subalgebra
         win = Window(center=Shift.zero(4), radius=1, margin=1)
         key0 = basis_key(v_sing4, Shift.zero(4))
-        cls = basis_Ik_window(v_sing4, key0, win.keys(v_sing4))
+        cls = omega_classes(v_sing4, win.keys(v_sing4))[omega_k_plus(v_sing4, key0)]
         same_top = sorted(
             (k for k in cls if k.shift.rows[2] == (0, 0, 0)),
             key=lambda k: k.shift.rows,
@@ -587,12 +650,9 @@ class TestReachComponents:
         # splits one: each class sits inside a single component
         comps = reach_components(reach_graph(v_rem, win3))
         interior = [k for k in win3.keys(v_rem) if win3.is_interior(k.shift)]
-        classes = defaultdict(set)
-        for k in interior:
-            classes[omega_k_plus(v_rem, k)].add(k)
         int_comps = [c for c in comps]
-        for members in classes.values():
-            containing = [c for c in int_comps if members <= c]
+        for members in omega_classes(v_rem, interior).values():
+            containing = [c for c in int_comps if set(members) <= c]
             assert len(containing) == 1
         assert len([c for c in comps if set(c) & set(interior)]) == 2
 
