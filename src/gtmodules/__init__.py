@@ -17,7 +17,6 @@ from .tableau import (
     canonicalize,
     is_standard,
     singular_triple,
-    tau,
 )
 from .action import (
     ModVec,

@@ -141,8 +141,10 @@ def _row_entries(v: BaseVector, z: Shift, r: int) -> tuple[tuple[Fraction, int],
 
 
 def weight_eigenvalue(v: BaseVector, r: int, z: Shift) -> Fraction:
-    """Diagonal eigenvalue of E_rr on the tableau shifted by z."""
-    upper, lower = (sum(c for c, _m in _row_entries(v, z, q)) for q in (r, r - 1))
+    """Diagonal eigenvalue of E_rr on the tableau shifted by z: r - 1 plus
+    the row-r sum minus the row-(r-1) sum of the shifted tableau."""
+    upper = v.row_sums[r - 1] + (sum(z.rows[r - 1]) if r < v.n else 0)
+    lower = v.row_sums[r - 2] + sum(z.rows[r - 2]) if r > 1 else 0
     return r - 1 + upper - lower
 
 
@@ -248,10 +250,18 @@ def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
     return ModVec((tkey, coeff) for _s0, _kind, tkey, coeff in _summands(v, r, s, key))
 
 
+# The uncached body, bound once: a wrapper rebound over the name act_e later
+# (a tracer, a mock) has no __wrapped__.
+_act_e_uncached = act_e.__wrapped__
+
+
 def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
     """E_ij on one key, from the one cache that holds it: act_e for
-    |i-j| <= 1, the commutator cache otherwise."""
-    return act_e(v, i, j, key) if abs(i - j) <= 1 else _apply_e_key(v, i, j, key)
+    |i-j| = 1, the commutator cache for |i-j| >= 2.  The diagonal E_ii is a
+    weight times the key and is recomputed, not cached."""
+    if i == j:
+        return _act_e_uncached(v, i, j, key)
+    return act_e(v, i, j, key) if abs(i - j) == 1 else _apply_e_key(v, i, j, key)
 
 
 @lru_cache(maxsize=None)

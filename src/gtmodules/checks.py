@@ -224,9 +224,9 @@ def check_drop_bound(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
     """Triple-set size bound along generator edges out of the given keys,
     with full classification of drop-by-one edges; the generic family
     admits no drops at all."""
-    report = reach_scan(v, keys, audit=True)[1]
-    failures = [{"type": "violation", **e.to_json()} for e in report.violations]
-    failures.extend({"type": "unclassified", **e.to_json()} for e in report.unclassified)
+    audit = reach_scan(v, keys, audit=True)[1].to_json()
+    failures = [{"type": "violation", **e} for e in audit["violations"]]
+    failures.extend({"type": "unclassified", **e} for e in audit["unclassified_drops"])
     if v.classification.family is Family.GENERIC:
-        failures.extend({"type": "generic_drop", **e.to_json()} for e in report.drops)
+        failures.extend({"type": "generic_drop", **e} for e in audit["drop_by_one_edges"])
     return failures

@@ -16,8 +16,10 @@ rows from row n-1 down to row 1, e.g. ``[[0, 0], [1]]`` for gl(3); the
 compact command-line form is semicolon-separated rows ``"0,0;1"``.  Basis
 keys are ``{"shift": ..., "kind": "T"|"DT"}``.
 
-Exit codes: 0 success, 1 failed verification, 2 malformed input, 141 when
-the reader of stdout closed it before the report was written.
+Exit codes: 0 success, 1 failed verification, 2 malformed input, 3 an
+internal invariant failure (a pole at t = 0, labels with no separating
+element), 141 when the reader of stdout closed it before the report was
+written.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from itertools import chain, product
 from . import checks
 from .action import ModVec, _check_key, _clear_memo_caches, act_gamma, apply_e
 from .checks import _modvec_json
-from .ratcalc import parse_rat
+from .ratcalc import PoleAtZero, parse_rat
 from .structure import (
     HypothesisViolated,
+    NotSeparable,
     Window,
     basis_key,
     irreducibility_verdict,
@@ -508,6 +511,8 @@ def main(argv=None) -> int:
                 raise InputError(f"--json-out {args.json_out!r}: {exc.strerror}") from None
     except (ValueError, KeyError, OSError) as exc:
         report, code = {"error": type(exc).__name__, "message": str(exc)}, 2
+    except (PoleAtZero, NotSeparable) as exc:
+        report, code = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}, 3
     try:
         _write_report(report, sinks)
     except BrokenPipeError:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .action import (
     ModVec,
@@ -112,13 +112,8 @@ class Window(_WindowFields):
         rows = (product(*(range(c - R, c + R + 1) for c in row)) for row in self.center.rows)
         return [Shift(self.center.n, combo) for combo in product(*rows)]
 
-    def contains(self, w: Shift) -> bool:
-        return self._within(w, self.radius)
-
     def is_interior(self, w: Shift) -> bool:
-        return self._within(w, self.radius - self.margin)
-
-    def _within(self, w: Shift, bound: int) -> bool:
+        bound = self.radius - self.margin
         return all(
             abs(x - c) <= bound for row, crow in zip(w.rows, self.center.rows) for x, c in zip(row, crow)
         )
@@ -127,11 +122,15 @@ class Window(_WindowFields):
         return [basis_key(v, w) for w in self.shifts()]
 
 
+def _omega_triples(v: BaseVector, w: Shift) -> Iterator[Triple]:
+    """The triples of Omega+ at the shift w, one at a time."""
+    return ((r, s, t) for r, s, t in v.integral_pairs if v.int_diff(w, r, s, r - 1, t) >= 0)
+
+
 def omega_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
     """Triples (r, s, t) whose row-r entry exceeds the row-(r-1) entry by a
     non-negative integer; anchor equality decides integrality exactly."""
-    w = key.shift if isinstance(key, TabKey) else key
-    return frozenset((r, s, t) for r, s, t in v.integral_pairs if v.int_diff(w, r, s, r - 1, t) >= 0)
+    return frozenset(_omega_triples(v, key.shift if isinstance(key, TabKey) else key))
 
 
 def omega_k_plus(v: BaseVector, key: TabKey | Shift) -> frozenset[Triple]:
@@ -365,15 +364,6 @@ class DropEdge(NamedTuple):
     target_size: int
     config: str | None  # one of I..V for classified drop-by-one edges
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source.to_json(),
-            "generator": self.generator,
-            "target": self.target.to_json(),
-            "sizes": [self.source_size, self.target_size],
-            "config": self.config,
-        }
-
 
 class DropAuditReport:
     def __init__(self, vector: BaseVector):
@@ -398,7 +388,7 @@ class DropAuditReport:
         """Check one summand of E(a,b) on src, whose triple set has size_src
         elements, against the size bound."""
         self.edges_scanned += 1
-        size_tgt = len(omega_plus(self.vector, target))
+        size_tgt = sum(1 for _ in _omega_triples(self.vector, target.shift))
         if size_tgt >= size_src:
             return
         drop_by_one = size_tgt == size_src - 1
@@ -419,11 +409,29 @@ class DropAuditReport:
             self.unclassified.append(edge)
 
     def to_json(self) -> dict:
+        """The report as JSON data.  Each distinct key's JSON object is built
+        once and shared by every edge that names it, so the data must not be
+        mutated in place."""
+        edges_all = self.violations + self.drops + self.unclassified
+        keys = {k: k.to_json() for k in dict.fromkeys(k for e in edges_all for k in (e.source, e.target))}
+
+        def edges(kept: list[DropEdge]) -> list[dict]:
+            return [
+                {
+                    "source": keys[e.source],
+                    "generator": e.generator,
+                    "target": keys[e.target],
+                    "sizes": [e.source_size, e.target_size],
+                    "config": e.config,
+                }
+                for e in kept
+            ]
+
         return {
             "edges_scanned": self.edges_scanned,
-            "violations": [e.to_json() for e in self.violations],
-            "drop_by_one_edges": [e.to_json() for e in self.drops],
-            "unclassified_drops": [e.to_json() for e in self.unclassified],
+            "violations": edges(self.violations),
+            "drop_by_one_edges": edges(self.drops),
+            "unclassified_drops": edges(self.unclassified),
             "ok": self.ok,
         }
 

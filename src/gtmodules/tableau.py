@@ -36,7 +36,6 @@ __all__ = [
     "BaseVector",
     "singular_triple",
     "is_standard",
-    "tau",
     "canonicalize",
 ]
 
@@ -90,17 +89,22 @@ class Shift(_ShiftFields):
         return self.rows[r - 1][s - 1]
 
     def bump(self, r: int, s: int, amount: int) -> "Shift":
+        """Add amount at (r, s); every other row is the same tuple object."""
         if not (1 <= s <= r <= self.n - 1):
             raise ValueError(f"position ({r},{s}) is not shiftable")
-        rows = list(list(row) for row in self.rows)
-        rows[r - 1][s - 1] += amount
-        return Shift(self.n, tuple(tuple(row) for row in rows))
+        row = list(self.rows[r - 1])
+        row[s - 1] += amount
+        return self._with_row(r, row)
 
     def swap(self, k: int, i: int, j: int) -> "Shift":
-        """Exchange the entries at (k, i) and (k, j)."""
-        rows = list(list(row) for row in self.rows)
-        rows[k - 1][i - 1], rows[k - 1][j - 1] = rows[k - 1][j - 1], rows[k - 1][i - 1]
-        return Shift(self.n, tuple(tuple(row) for row in rows))
+        """Exchange the entries at (k, i) and (k, j); every other row is the
+        same tuple object."""
+        row = list(self.rows[k - 1])
+        row[i - 1], row[j - 1] = row[j - 1], row[i - 1]
+        return self._with_row(k, row)
+
+    def _with_row(self, r: int, row: list[int]) -> "Shift":
+        return Shift(self.n, self.rows[: r - 1] + (tuple(row),) + self.rows[r:])
 
     def to_json(self) -> list[list[int]]:
         """Rows listed top down (row n-1 first), matching the vector layout."""
@@ -161,13 +165,16 @@ class BaseVector:
 
     The neighbouring-row integral pairs are kept in ``integral_pairs``: the
     triples (r, s, t) whose positions (r, s) and (r-1, t) share an anchor.
-    Both are derived, so equality, hashing and repr read only the four
-    fields; no attribute can be assigned after construction.
+    ``row_sums[r-1]`` is the sum of the entries of row r, and the hash of
+    the four fields is taken once.  All of these are derived, so equality,
+    hashing and repr read only the four fields; no attribute can be
+    assigned after construction.
     """
 
-    __slots__ = ("n", "anchors", "assignment", "offsets", "classification", "integral_pairs")
+    __slots__ = ("n", "anchors", "assignment", "offsets", "classification", "integral_pairs", "row_sums", "_hash")
     classification: Classification
     integral_pairs: tuple[tuple[int, int, int], ...]
+    row_sums: tuple[Fraction, ...]
 
     def __init__(self, n: int, anchors: tuple[Fraction, ...], assignment: tuple, offsets: tuple):
         for name, value in zip(self.__slots__, (n, anchors, assignment, offsets)):
@@ -215,6 +222,10 @@ class BaseVector:
             (r, s, t) for r in range(2, self.n + 1) for s in range(1, r + 1) for t in range(1, r)
             if self.assignment[r - 1][s - 1] == self.assignment[r - 2][t - 1]
         ))
+        object.__setattr__(self, "row_sums", tuple(
+            sum(self.entry(r, s) for s in range(1, r + 1)) for r in range(1, self.n + 1)
+        ))
+        object.__setattr__(self, "_hash", hash(self._values()))
 
     def _values(self) -> tuple:
         return (self.n, self.anchors, self.assignment, self.offsets)
@@ -225,7 +236,7 @@ class BaseVector:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.anchors, self.assignment, self.offsets))
+        return self._hash
 
     def __repr__(self) -> str:
         return "BaseVector(n={!r}, anchors={!r}, assignment={!r}, offsets={!r})".format(*self._values())
@@ -244,9 +255,6 @@ class BaseVector:
         if self.assignment[r - 1][s - 1] != self.assignment[q - 1][t - 1]:
             return None
         return self.offsets[r - 1][s - 1] + w.get(r, s) - self.offsets[q - 1][t - 1] - w.get(q, t)
-
-    def anchor_index(self, r: int, s: int) -> int:
-        return self.assignment[r - 1][s - 1]
 
     def top_row(self) -> tuple[Fraction, ...]:
         return tuple(self.entry(self.n, s) for s in range(1, self.n + 1))
@@ -375,12 +383,6 @@ def is_standard(v: BaseVector, w: Shift) -> bool:
             if d2 is None or d2 <= 0:
                 return False
     return True
-
-
-def tau(v: BaseVector, w: Shift) -> Shift:
-    """The involution exchanging the two singular positions of row k."""
-    k, i, j = singular_triple(v)
-    return w.swap(k, i, j)
 
 
 def canonicalize(v: BaseVector, kind: Kind, w: Shift) -> tuple[TabKey, int]:

@@ -30,7 +30,9 @@ from gtmodules.structure import (
     reach_closure,
     reach_scan,
 )
-from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize, tau
+from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize
+
+from helpers import tau
 
 
 def report(line: str):

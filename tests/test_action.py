@@ -5,6 +5,9 @@ import pytest
 from gtmodules.action import (
     ModVec,
     NotStandard,
+    _apply_key,
+    _clear_memo_caches,
+    _row_entries,
     act_e,
     apply_e,
     coeff_e,
@@ -12,7 +15,9 @@ from gtmodules.action import (
 )
 from gtmodules.ratcalc import DegenerateFactor, rf_d_pair
 from gtmodules.structure import Window
-from gtmodules.tableau import Kind, Shift, TabKey, canonicalize, tau
+from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize
+
+from helpers import tau
 
 
 def key(n, rows, kind=Kind.REGULAR):
@@ -349,6 +354,51 @@ class TestCanonicalMerging:
         for t, c in out.items():
             k2, sign = canonicalize(v_rem, t.kind, t.shift)
             assert k2 == t and sign == 1
+
+
+def old_weight_eigenvalue(v, r, z):
+    """The E_rr eigenvalue summed from the deformed row entries, as before
+    the base vector kept its row sums."""
+    upper, lower = (sum(c for c, _m in _row_entries(v, z, q)) for q in (r, r - 1))
+    return r - 1 + upper - lower
+
+
+class TestDiagonal:
+    # gl(3) radius-2 and gl(4) radius-1 windows in the three families
+    @pytest.mark.parametrize("vector,radius", [
+        ("v_fin3_210", 2), ("v_gen3_chain", 2), ("v_rem", 2),
+        ("v_fin4", 1), ("v_gen4_chain", 1), ("v_sing4_rem", 1),
+    ])
+    def test_uncached_diagonal_matches_cached_act_e(self, request, vector, radius):
+        v = BaseVector.from_weight([2, 1, 1, 0]) if vector == "v_fin4" else request.getfixturevalue(vector)
+        n = v.n
+        _clear_memo_caches()
+        compared = 0
+        for key in Window(Shift.zero(n), radius).keys(v):
+            for r in range(1, n + 1):
+                assert weight_eigenvalue(v, r, key.shift) == old_weight_eigenvalue(v, r, key.shift)
+                try:
+                    cached = act_e(v, r, r, key)
+                except NotStandard:
+                    with pytest.raises(NotStandard):
+                        _apply_key(v, r, r, key)
+                    continue
+                size = act_e.cache_info().currsize
+                assert _apply_key(v, r, r, key) == cached
+                assert act_e.cache_info().currsize == size
+                compared += 1
+        assert compared > 0
+        _clear_memo_caches()
+
+    def test_non_canonical_regular_label(self, v_rem):
+        # w_21 > w_22: the regular label names its swapped canonical key
+        z = Shift(3, ((1,), (2, 0)))
+        swapped = TabKey(tau(v_rem, z), Kind.REGULAR)
+        for r in range(1, 4):
+            out = _apply_key(v_rem, r, r, TabKey(z, Kind.REGULAR))
+            assert out == act_e(v_rem, r, r, TabKey(z, Kind.REGULAR))
+            assert list(out.support()) == [swapped]
+        _clear_memo_caches()
 
 
 def test_each_generator_result_is_cached_once(v_rem):

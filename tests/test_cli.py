@@ -8,7 +8,8 @@ import pytest
 
 from gtmodules.action import _MEMO_CACHES, _gamma_from_entries, _row_entries, act_e
 from gtmodules.cli import main
-from gtmodules.structure import Window, basis_key
+from gtmodules.ratcalc import PoleAtZero
+from gtmodules.structure import NotSeparable, Window, basis_key
 from gtmodules.tableau import BaseVector, Shift
 
 
@@ -554,6 +555,17 @@ class TestMemoLifetime:
         capsys.readouterr()
         assert act_e.cache_info().currsize == 0
 
+    def test_verify_caches_no_diagonal_result(self, capsys):
+        # the seed-0 vector of the singular3-verify benchmark workload; the
+        # cache held 1,806 entries when E(r,r) results were cached as well
+        vector = json.dumps({
+            "n": 3, "anchors": ["25/29", "14/29", "2/29", "9/29"],
+            "assignment": [[0, 1, 2], [3, 3], [3]], "offsets": [[0, 0, 0], [0, 0], [0]],
+        })
+        assert main(["verify", "--radius", "2", "--base-vector", vector]) == 0
+        capsys.readouterr()
+        assert act_e.cache_info().currsize == 1011
+
     def test_reset_ignores_rebound_names(self, capsys, monkeypatch):
         # a wrapper bound over a cached function's module names (as a span
         # tracer does) has no cache_clear; the reset must still find the cache
@@ -635,6 +647,25 @@ class TestVerify:
         assert code == 1
         assert report["passed"] is False
         assert report["suites"]["relations"]["passed"] is False
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "exc", [PoleAtZero("function has a pole at t = 0"), NotSeparable("all eigenvalues agree")],
+        ids=["PoleAtZero", "NotSeparable"],
+    )
+    def test_invariant_failure_exit_3_without_traceback(self, capsys, monkeypatch, exc):
+        from gtmodules import cli
+
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_verdict", broken)
+        code = main(["verdict", "--base-vector", REMARK_JSON])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestRoundTrip:

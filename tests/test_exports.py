@@ -35,3 +35,15 @@ def test_package_reexports_are_listed_by_their_modules():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(gtmodules, alias.name) is getattr(module, alias.name)
+
+
+def test_test_only_helpers_stay_out_of_the_library():
+    # tests/helpers.py and the test files carry these; the library calls none
+    from gtmodules.structure import DropEdge, Window
+    from gtmodules.tableau import BaseVector
+
+    assert not hasattr(importlib.import_module("gtmodules.tableau"), "tau")
+    assert not hasattr(gtmodules, "tau")
+    assert not hasattr(Window, "contains")
+    assert not hasattr(BaseVector, "anchor_index")
+    assert not hasattr(DropEdge, "to_json")

@@ -9,7 +9,9 @@ from gtmodules.action import (
     gamma_dvbar,
     gamma_eval,
 )
-from gtmodules.tableau import Kind, Shift, TabKey, canonicalize, tau
+from gtmodules.tableau import Kind, Shift, TabKey, canonicalize
+
+from helpers import tau
 
 
 def key(n, rows, kind=Kind.REGULAR):

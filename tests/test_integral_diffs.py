@@ -16,13 +16,15 @@ import pytest
 from gtmodules.structure import DropAuditReport, Window, _drop_config, omega_plus, reach_scan
 from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, is_standard
 
+from helpers import anchor_index
+
 
 def neighbor_integral_pairs_fraction(v: BaseVector):
     out = []
     for r in range(2, v.n + 1):
         for s in range(1, r + 1):
             for t in range(1, r):
-                if v.anchor_index(r, s) == v.anchor_index(r - 1, t):
+                if anchor_index(v, r, s) == anchor_index(v, r - 1, t):
                     out.append((r, s, t))
     return tuple(out)
 

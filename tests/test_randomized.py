@@ -5,7 +5,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from gtmodules.action import ModVec, act_e, act_gamma, apply_casimir_pbw, apply_e
-from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, tau
+from gtmodules.tableau import BaseVector, Kind, Shift, TabKey
+
+from helpers import tau
 
 offsets = st.integers(min_value=-3, max_value=3)
 

@@ -6,7 +6,9 @@ import pytest
 import gtmodules.checks as checks
 from gtmodules.action import ModVec, _clear_memo_caches, gamma_eval
 from gtmodules.structure import basis_key, separator
-from gtmodules.tableau import Kind, Shift, canonicalize, singular_triple, tau
+from gtmodules.tableau import Kind, Shift, canonicalize, singular_triple
+
+from helpers import tau
 
 
 def both_labels(v, z):

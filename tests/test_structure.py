@@ -10,9 +10,11 @@ from gtmodules.action import ModVec, _summands, act_e, act_gamma
 from gtmodules.cli import main
 from gtmodules.structure import (
     DropAuditReport,
+    DropEdge,
     HypothesisViolated,
     Window,
     _drop_config,
+    _omega_triples,
     basis_key,
     irreducibility_verdict,
     omega_classes,
@@ -23,7 +25,9 @@ from gtmodules.structure import (
     reach_scan,
     singular_triple,
 )
-from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, tau
+from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey
+
+from helpers import tau
 
 
 def reach_graph(v, win):
@@ -93,7 +97,8 @@ class TestWindow:
     @pytest.mark.parametrize("center,radius", ORACLE_WINDOWS, ids=ORACLE_IDS)
     def test_bounds_match_the_per_position_tests(self, center, radius):
         # seeded shifts of the box widened by 2, the centre and a stride of
-        # the box, so both tests see both answers at every margin
+        # the box, so the test sees both answers at every margin; margin 0
+        # is the whole box
         rng = random.Random(radius)
         probe = [
             Shift(center.n, tuple(tuple(c + rng.randint(-radius - 2, radius + 2) for c in row) for row in center.rows))
@@ -102,7 +107,6 @@ class TestWindow:
         for margin in range(radius + 1):
             win = Window(center, radius, margin)
             for w in [*probe, center, *win.shifts()[::7]]:
-                assert win.contains(w) == old_contains(win, w)
                 assert win.is_interior(w) == old_is_interior(win, w)
 
     def test_margin_bounds_checked(self):
@@ -301,7 +305,7 @@ class TestReachability:
             for r in range(1, 3):
                 for (a, b) in ((r, r + 1), (r + 1, r)):
                     for t in act_e(v_gen3, a, b, key).support():
-                        if win3_r1.contains(t.shift):
+                        if old_contains(win3_r1, t.shift):
                             expected.add(t)
             assert set(graph[key]) == expected
 
@@ -332,12 +336,12 @@ def act_e_reach_edges(v, key, win):
     for r in range(1, v.n):
         for a, b in ((r, r + 1), (r + 1, r)):
             for tkey in act_e(v, a, b, key).support():
-                if win.contains(tkey.shift) and tkey not in edges:
+                if old_contains(win, tkey.shift) and tkey not in edges:
                     edges[tkey] = f"E({a},{b})"
     if v.classification.singular is not None and key.kind is Kind.DERIVATIVE:
         k = v.classification.singular[0]
         for tkey in act_gamma(v, k, 2, key, shift=key.shift).support():
-            if win.contains(tkey.shift) and tkey not in edges:
+            if old_contains(win, tkey.shift) and tkey not in edges:
                 edges[tkey] = f"C({k},2)"
     return edges
 
@@ -361,6 +365,30 @@ def omega_drop_audit(v, keys):
             for a, b in ((r, r + 1), (r + 1, r)):
                 for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key):
                     report.scan(key, size_src, a, b, s0, comp_kind, tkey)
+    return report
+
+
+def old_edge_json(e):
+    """The per-edge JSON body before the audit report shared key objects
+    between edges: each edge built both key objects afresh."""
+    return {
+        "source": e.source.to_json(),
+        "generator": e.generator,
+        "target": e.target.to_json(),
+        "sizes": [e.source_size, e.target_size],
+        "config": e.config,
+    }
+
+
+def fabricated_audit(v):
+    """An audit report with an edge in each of its three lists."""
+    report = DropAuditReport(vector=v)
+    keys = [basis_key(v, w) for w in Window(Shift.zero(3), 1).shifts()[:4]]
+    report.edges_scanned = 7
+    report.violations.append(DropEdge(keys[0], "E(2,1)", keys[1], 3, 1, None))
+    drop = DropEdge(keys[1], "E(3,2)", keys[2], 2, 1, None)
+    report.drops += [drop, DropEdge(keys[2], "E(1,2)", keys[1], 2, 1, "I")]
+    report.unclassified.append(drop)
     return report
 
 
@@ -412,6 +440,72 @@ class TestOnePass:
 
 
 class TestDropAudit:
+    @pytest.mark.parametrize("case", sorted(TestOnePass.WINDOWS))
+    def test_scan_counts_the_triple_set_of_each_target(self, request, monkeypatch, case):
+        v = request.getfixturevalue(case.split("-")[0])
+        targets = []
+        scan = DropAuditReport.scan
+
+        def recorded(self, src, size_src, a, b, s0, comp_kind, target):
+            targets.append(target)
+            return scan(self, src, size_src, a, b, s0, comp_kind, target)
+
+        monkeypatch.setattr(DropAuditReport, "scan", recorded)
+        report = reach_scan(v, TestOnePass.WINDOWS[case].keys(v), audit=True)[1]
+        assert len(targets) == report.edges_scanned > 0
+        for target in set(targets):
+            assert sum(1 for _ in _omega_triples(v, target.shift)) == len(omega_plus(v, target))
+        assert all(e.target_size == len(omega_plus(v, e.target)) for e in report.drops)
+
+    @pytest.mark.parametrize("case,window", [
+        ("v_rem", Window(Shift.zero(3), 2)),
+        ("v_sing_top", Window(Shift.zero(3), 2)),
+        ("v_sing4_rem", Window(Shift.zero(4), 1)),
+    ], ids=["v_rem", "v_sing_top", "v_sing4_rem"])
+    def test_to_json_matches_the_per_edge_bodies(self, request, case, window):
+        v = request.getfixturevalue(case)
+        report = reach_scan(v, window.keys(v), audit=True)[1]
+        data = report.to_json()
+        assert data == {
+            "edges_scanned": report.edges_scanned,
+            "violations": [old_edge_json(e) for e in report.violations],
+            "drop_by_one_edges": [old_edge_json(e) for e in report.drops],
+            "unclassified_drops": [old_edge_json(e) for e in report.unclassified],
+            "ok": report.ok,
+        }
+        # one JSON object per distinct key, shared by every edge naming it
+        shared = {}
+        for e, out in zip(report.drops, data["drop_by_one_edges"]):
+            for key, obj in ((e.source, out["source"]), (e.target, out["target"])):
+                assert shared.setdefault(key, obj) is obj
+        assert len(shared) == len({k for e in report.drops for k in (e.source, e.target)}) > 0
+        assert len({id(obj) for obj in shared.values()}) == len(shared)
+
+    def test_to_json_of_every_list_matches_the_per_edge_bodies(self, v_rem):
+        report = fabricated_audit(v_rem)
+        assert report.to_json() == {
+            "edges_scanned": 7,
+            "violations": [old_edge_json(e) for e in report.violations],
+            "drop_by_one_edges": [old_edge_json(e) for e in report.drops],
+            "unclassified_drops": [old_edge_json(e) for e in report.unclassified],
+            "ok": False,
+        }
+
+    @pytest.mark.parametrize("family", [Family.ONE_SINGULAR, Family.GENERIC])
+    def test_drop_bound_failures_match_the_per_edge_bodies(self, monkeypatch, v_rem, family):
+        from gtmodules import checks
+
+        report = fabricated_audit(v_rem)
+        monkeypatch.setattr(checks, "reach_scan", lambda v, keys, audit: ({}, report))
+        v = v_rem if family is Family.ONE_SINGULAR else BaseVector.from_rows(
+            [["1/2", "1/3", "1/5"], ["1/7", "1/11"], ["1/13"]]
+        )
+        expected = [{"type": "violation", **old_edge_json(e)} for e in report.violations]
+        expected += [{"type": "unclassified", **old_edge_json(e)} for e in report.unclassified]
+        if family is Family.GENERIC:
+            expected += [{"type": "generic_drop", **old_edge_json(e)} for e in report.drops]
+        assert checks.check_drop_bound(v, []) == expected
+
     def test_generic_never_drops(self, v_gen3_chain, win3):
         report = reach_scan(v_gen3_chain, win3.keys(v_gen3_chain), audit=True)[1]
         assert report.ok

@@ -13,8 +13,9 @@ from gtmodules.tableau import (
     canonicalize,
     is_standard,
     singular_triple,
-    tau,
 )
+
+from helpers import anchor_index, tau
 
 
 class TestClassification:
@@ -109,6 +110,42 @@ class TestTau:
             tau(v_gen3, Shift.zero(3))
 
 
+def old_bump(w, r, s, amount):
+    """Shift.bump before it shared rows: every row copied."""
+    rows = [list(row) for row in w.rows]
+    rows[r - 1][s - 1] += amount
+    return Shift(w.n, tuple(tuple(row) for row in rows))
+
+
+def old_swap(w, k, i, j):
+    """Shift.swap before it shared rows: every row copied."""
+    rows = [list(row) for row in w.rows]
+    rows[k - 1][i - 1], rows[k - 1][j - 1] = rows[k - 1][j - 1], rows[k - 1][i - 1]
+    return Shift(w.n, tuple(tuple(row) for row in rows))
+
+
+class TestSharedRows:
+    W = Shift(4, ((1,), (0, -2), (3, 0, -1)))
+
+    @pytest.mark.parametrize("r,s", [(r, s) for r in range(1, 4) for s in range(1, r + 1)])
+    @pytest.mark.parametrize("amount", [1, -1])
+    def test_bump_rebuilds_only_its_row(self, r, s, amount):
+        out = self.W.bump(r, s, amount)
+        assert out == old_bump(self.W, r, s, amount)
+        assert [out.rows[q] is self.W.rows[q] for q in range(3)] == [q != r - 1 for q in range(3)]
+
+    @pytest.mark.parametrize("k,i,j", [(2, 1, 2), (3, 1, 3), (3, 2, 3)])
+    def test_swap_rebuilds_only_its_row(self, k, i, j):
+        out = self.W.swap(k, i, j)
+        assert out == old_swap(self.W, k, i, j)
+        assert [out.rows[q] is self.W.rows[q] for q in range(3)] == [q != k - 1 for q in range(3)]
+
+    @pytest.mark.parametrize("r,s", [(0, 1), (4, 1), (2, 3)])
+    def test_bump_outside_the_lower_rows_rejected(self, r, s):
+        with pytest.raises(ValueError, match="not shiftable"):
+            self.W.bump(r, s, 1)
+
+
 class TestCanonicalize:
     def test_regular_swaps_to_nonpositive_side(self, v_rem):
         key, sign = canonicalize(v_rem, Kind.REGULAR, Shift(3, ((0,), (3, 1))))
@@ -158,7 +195,7 @@ class TestAnchorSoundness:
         for p in positions:
             for q in positions:
                 diff = v.entry(*p) - v.entry(*q)
-                assert (diff.denominator == 1) == (v.anchor_index(*p) == v.anchor_index(*q))
+                assert (diff.denominator == 1) == (anchor_index(v, *p) == anchor_index(v, *q))
 
 
 class TestJson:
