@@ -5,7 +5,7 @@ applies the raising and lowering generators, and checks the commuting
 subalgebra eigenvalues against the brute-force tuple sum.
 """
 
-from gtmodules.action import ModVec, act_e, act_gamma, apply_casimir_pbw
+from gtmodules.action import ModVec, act_gamma, apply_casimir_pbw, apply_e
 from gtmodules.cli import _enumerate_standard
 from gtmodules.tableau import BaseVector, Kind, TabKey
 
@@ -23,7 +23,7 @@ def main():
     key = TabKey(shifts[0], Kind.REGULAR)
     print("\nlowest enumerated tableau:", key.shift.to_json())
     for (a, b) in [(1, 2), (2, 3), (2, 1), (3, 2), (1, 1), (2, 2), (3, 3)]:
-        out = act_e(v, a, b, key)
+        out = apply_e(v, a, b, ModVec.single(key))
         print(f"E({a},{b}) ->", [(t.shift.to_json(), str(c)) for t, c in out.items()])
 
     print("\ncommuting subalgebra eigenvalues on that tableau:")

@@ -184,7 +184,7 @@ def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift) -> Jet:
 
 def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int, Kind, TabKey, Fraction]]:
     """Nonzero summands (s0, component kind, canonical target, signed
-    coefficient) of E_{rs}, |r-s| <= 1, on key; s0 is 0 for E_{rr}.
+    coefficient) of E_{rs}, |r-s| = 1, on key.
 
     The finite and generic families read the undeformed coefficient, and
     the finite family drops targets that are not standard.  In the
@@ -199,21 +199,18 @@ def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int,
     family = v.classification.family
     singular = family is Family.ONE_SINGULAR
     z = key.shift
-    if r == s:
-        raw = [(0, key.kind, z, weight_eigenvalue(v, r, z))]
-    else:
-        row, direction = _summand_spec(r, s)
-        raw = []
-        for s0 in range(1, row + 1):
-            target = z.bump(row, s0, direction)
-            jet = coeff_e(v, r, s, s0, z)
-            if not singular:  # undeformed: the jet is the constant coeffs[0]
-                raw.append((s0, Kind.REGULAR, target, jet.coeffs[0]))
-                continue
-            if key.kind is Kind.REGULAR:  # times 2t
-                jet = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))
-            value, half = rf_d_pair(jet)
-            raw += [(s0, Kind.REGULAR, target, half), (s0, Kind.DERIVATIVE, target, value)]
+    row, direction = _summand_spec(r, s)
+    raw = []
+    for s0 in range(1, row + 1):
+        target = z.bump(row, s0, direction)
+        jet = coeff_e(v, r, s, s0, z)
+        if not singular:  # undeformed: the jet is the constant coeffs[0]
+            raw.append((s0, Kind.REGULAR, target, jet.coeffs[0]))
+            continue
+        if key.kind is Kind.REGULAR:  # times 2t
+            jet = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))
+        value, half = rf_d_pair(jet)
+        raw += [(s0, Kind.REGULAR, target, half), (s0, Kind.DERIVATIVE, target, value)]
     for s0, kind, target, coeff in raw:
         if not coeff:
             continue
@@ -244,23 +241,20 @@ def _check_key(v: BaseVector, key: TabKey) -> None:
 
 @lru_cache(maxsize=None)
 def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
-    """Elementary generator action of E_{rs}, |r-s| <= 1, on one basis key;
+    """Raising or lowering generator E_{rs}, |r-s| = 1, on one basis key;
     a key that is not a basis key raises as in :func:`_check_key`."""
     _check_key(v, key)
     return ModVec((tkey, coeff) for _s0, _kind, tkey, coeff in _summands(v, r, s, key))
 
 
-# The uncached body, bound once: a wrapper rebound over the name act_e later
-# (a tracer, a mock) has no __wrapped__.
-_act_e_uncached = act_e.__wrapped__
-
-
 def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
-    """E_ij on one key, from the one cache that holds it: act_e for
-    |i-j| = 1, the commutator cache for |i-j| >= 2.  The diagonal E_ii is a
-    weight times the key and is recomputed, not cached."""
+    """E_ij on one key.  The diagonal E_ii is the weight times the key,
+    written through its canonical label and sign, and is not cached; act_e
+    holds |i-j| = 1 and the commutator cache |i-j| >= 2."""
     if i == j:
-        return _act_e_uncached(v, i, j, key)
+        _check_key(v, key)
+        tkey, sg = canonicalize(v, key.kind, key.shift)
+        return ModVec.single(tkey, sg * weight_eigenvalue(v, i, key.shift))
     return act_e(v, i, j, key) if abs(i - j) == 1 else _apply_e_key(v, i, j, key)
 
 
@@ -298,8 +292,8 @@ def apply_casimir_pbw(v: BaseVector, m: int, k: int, vec: ModVec) -> ModVec:
     right to left.  Deliberately formula-free: used as an independent
     oracle against the closed-form subalgebra action.
     """
-    if not (1 <= k <= m):
-        raise ValueError("need 1 <= k <= m")
+    if not (1 <= k <= m <= v.n):
+        raise ValueError("need 1 <= k <= m <= n")
 
     def tuple_terms():
         for idx in product(range(1, m + 1), repeat=k):

@@ -18,8 +18,9 @@ keys are ``{"shift": ..., "kind": "T"|"DT"}``.
 
 Exit codes: 0 success, 1 failed verification, 2 malformed input, 3 an
 internal invariant failure (a pole at t = 0, labels with no separating
-element), 141 when the reader of stdout closed it before the report was
-written.
+element, a finite-family action on a non-standard tableau, a vanishing
+coefficient factor outside the one-singular family), 141 when the reader
+of stdout closed it before the report was written.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import sys
 from itertools import chain, product
 
 from . import checks
-from .action import ModVec, _check_key, _clear_memo_caches, act_gamma, apply_e
+from .action import ModVec, NotStandard, _check_key, _clear_memo_caches, act_gamma, apply_e
 from .checks import _modvec_json
-from .ratcalc import PoleAtZero, parse_rat
+from .ratcalc import DegenerateFactor, PoleAtZero, parse_rat
 from .structure import (
     HypothesisViolated,
     NotSeparable,
@@ -509,10 +510,12 @@ def main(argv=None) -> int:
                 sinks.append(open(args.json_out, "w", encoding="utf-8"))
             except OSError as exc:
                 raise InputError(f"--json-out {args.json_out!r}: {exc.strerror}") from None
+    except (PoleAtZero, NotSeparable, NotStandard, DegenerateFactor) as exc:
+        # before ValueError, which the last two subclass: no command input
+        # reaches them
+        report, code = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}, 3
     except (ValueError, KeyError, OSError) as exc:
         report, code = {"error": type(exc).__name__, "message": str(exc)}, 2
-    except (PoleAtZero, NotSeparable) as exc:
-        report, code = {"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}, 3
     try:
         _write_report(report, sinks)
     except BrokenPipeError:

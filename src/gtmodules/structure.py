@@ -373,11 +373,6 @@ class DropAuditReport:
         self.drops: list[DropEdge] = []
         self.unclassified: list[DropEdge] = []
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
     @property
     def ok(self) -> bool:
         return not self.violations and not self.unclassified

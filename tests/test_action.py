@@ -6,6 +6,7 @@ from gtmodules.action import (
     ModVec,
     NotStandard,
     _apply_key,
+    _check_key,
     _clear_memo_caches,
     _row_entries,
     act_e,
@@ -15,7 +16,7 @@ from gtmodules.action import (
 )
 from gtmodules.ratcalc import DegenerateFactor, rf_d_pair
 from gtmodules.structure import Window
-from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize
+from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize, is_standard
 
 from helpers import tau
 
@@ -42,10 +43,10 @@ class TestFiniteGl2:
         assert act_e(v_fin2, 2, 1, key(2, [(0,)])).is_zero
 
     def test_diagonal_eigenvalues(self, v_fin2):
-        assert act_e(v_fin2, 1, 1, key(2, [(0,)])).is_zero
-        assert act_e(v_fin2, 1, 1, key(2, [(1,)])) == single(2, [(1,)])
-        assert act_e(v_fin2, 2, 2, key(2, [(0,)])) == single(2, [(0,)])
-        assert act_e(v_fin2, 2, 2, key(2, [(1,)])).is_zero
+        assert apply_e(v_fin2, 1, 1, single(2, [(0,)])).is_zero
+        assert apply_e(v_fin2, 1, 1, single(2, [(1,)])) == single(2, [(1,)])
+        assert apply_e(v_fin2, 2, 2, single(2, [(0,)])) == single(2, [(0,)])
+        assert apply_e(v_fin2, 2, 2, single(2, [(1,)])).is_zero
 
     def test_not_standard_input_rejected(self, v_fin2):
         with pytest.raises(NotStandard):
@@ -101,7 +102,7 @@ class TestCoeffE:
 class TestGeneric:
     def test_diagonal_eigenvalue_formula(self, v_gen3):
         z = Shift(3, ((1,), (0, 2)))
-        out = act_e(v_gen3, 2, 2, key(3, z.rows))
+        out = apply_e(v_gen3, 2, 2, single(3, z.rows))
         expected = weight_eigenvalue(v_gen3, 2, z)
         assert out == ModVec.single(key(3, z.rows), expected)
 
@@ -132,9 +133,9 @@ class TestSingular:
         # generators touching only rows at or below the singular row act by
         # the classical formulas on regular keys: no derivative terms appear
         for rows in [[(0,), (0, 0)], [(1,), (-1, 0)], [(-2,), (0, 1)]]:
-            k = key(3, rows)
+            vec = single(3, rows)
             for (a, b) in [(1, 2), (2, 1), (1, 1), (2, 2)]:
-                out = act_e(v_rem, a, b, k)
+                out = apply_e(v_rem, a, b, vec)
                 assert all(t.kind is Kind.REGULAR for t in out.support())
 
     def test_classical_region_derivative_keys_gl4(self, v_sing4):
@@ -363,6 +364,25 @@ def old_weight_eigenvalue(v, r, z):
     return r - 1 + upper - lower
 
 
+def old_diagonal(v, r, key):
+    """E(r,r) on one key as the r == s branch of _summands gave it before
+    _apply_key read the weight itself: the weight times the key, through
+    the canonical label and sign in the one-singular family, and dropped
+    on a finite-family target that is not standard."""
+    _check_key(v, key)
+    z = key.shift
+    coeff = weight_eigenvalue(v, r, z)
+    family = v.classification.family
+    if not coeff:
+        return ModVec()
+    if family is Family.ONE_SINGULAR:
+        tkey, sg = canonicalize(v, key.kind, z)
+        return ModVec([(tkey, -coeff if sg < 0 else coeff)]) if sg else ModVec()
+    if family is not Family.FINITE_STANDARD or is_standard(v, z):
+        return ModVec([(TabKey(z, key.kind), coeff)])
+    return ModVec()
+
+
 class TestDiagonal:
     # gl(3) radius-2 and gl(4) radius-1 windows in the three families
     @pytest.mark.parametrize("vector,radius", [
@@ -370,6 +390,7 @@ class TestDiagonal:
         ("v_fin4", 1), ("v_gen4_chain", 1), ("v_sing4_rem", 1),
     ])
     def test_uncached_diagonal_matches_cached_act_e(self, request, vector, radius):
+        # old_diagonal is the body that the cached act_e ran for E(r,r)
         v = BaseVector.from_weight([2, 1, 1, 0]) if vector == "v_fin4" else request.getfixturevalue(vector)
         n = v.n
         _clear_memo_caches()
@@ -378,26 +399,39 @@ class TestDiagonal:
             for r in range(1, n + 1):
                 assert weight_eigenvalue(v, r, key.shift) == old_weight_eigenvalue(v, r, key.shift)
                 try:
-                    cached = act_e(v, r, r, key)
+                    expected = old_diagonal(v, r, key)
                 except NotStandard:
                     with pytest.raises(NotStandard):
                         _apply_key(v, r, r, key)
                     continue
-                size = act_e.cache_info().currsize
-                assert _apply_key(v, r, r, key) == cached
-                assert act_e.cache_info().currsize == size
+                assert _apply_key(v, r, r, key) == expected
                 compared += 1
         assert compared > 0
-        _clear_memo_caches()
+        # the diagonal fills no cache
+        assert act_e.cache_info().currsize == 0
 
     def test_non_canonical_regular_label(self, v_rem):
-        # w_21 > w_22: the regular label names its swapped canonical key
+        # a regular label with w_21 > w_22 names its swapped key with sign
+        # +1, and a derivative label with w_21 < w_22 its swapped key with
+        # sign -1
         z = Shift(3, ((1,), (2, 0)))
-        swapped = TabKey(tau(v_rem, z), Kind.REGULAR)
+        zt = tau(v_rem, z)
+        for label, canonical, sign in ((TabKey(z, Kind.REGULAR), TabKey(zt, Kind.REGULAR), 1),
+                                       (TabKey(zt, Kind.DERIVATIVE), TabKey(z, Kind.DERIVATIVE), -1)):
+            for r in range(1, 4):
+                out = _apply_key(v_rem, r, r, label)
+                assert out == old_diagonal(v_rem, r, label)
+                assert dict(out.items()) == {canonical: sign * weight_eigenvalue(v_rem, r, z)}
+
+    def test_act_e_rejects_the_diagonal(self, v_rem):
+        _clear_memo_caches()
+        k = key(3, [(0,), (1, 0)])
+        act_e(v_rem, 1, 2, k)
+        size = act_e.cache_info().currsize
         for r in range(1, 4):
-            out = _apply_key(v_rem, r, r, TabKey(z, Kind.REGULAR))
-            assert out == act_e(v_rem, r, r, TabKey(z, Kind.REGULAR))
-            assert list(out.support()) == [swapped]
+            with pytest.raises(ValueError, match="not a raising or lowering generator"):
+                act_e(v_rem, r, r, k)
+        assert act_e.cache_info().currsize == size == 1
         _clear_memo_caches()
 
 

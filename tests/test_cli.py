@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from gtmodules.action import _MEMO_CACHES, _gamma_from_entries, _row_entries, act_e
+from gtmodules.action import _MEMO_CACHES, NotStandard, _gamma_from_entries, _row_entries, act_e
 from gtmodules.cli import main
-from gtmodules.ratcalc import PoleAtZero
+from gtmodules.ratcalc import DegenerateFactor, PoleAtZero
 from gtmodules.structure import NotSeparable, Window, basis_key
 from gtmodules.tableau import BaseVector, Shift
 
@@ -651,8 +651,14 @@ class TestVerify:
 
 class TestInternalErrors:
     @pytest.mark.parametrize(
-        "exc", [PoleAtZero("function has a pole at t = 0"), NotSeparable("all eigenvalues agree")],
-        ids=["PoleAtZero", "NotSeparable"],
+        "exc",
+        [
+            PoleAtZero("function has a pole at t = 0"),
+            NotSeparable("all eigenvalues agree"),
+            NotStandard("input tableau is not standard"),
+            DegenerateFactor("identically zero factor in denominator"),
+        ],
+        ids=["PoleAtZero", "NotSeparable", "NotStandard", "DegenerateFactor"],
     )
     def test_invariant_failure_exit_3_without_traceback(self, capsys, monkeypatch, exc):
         from gtmodules import cli

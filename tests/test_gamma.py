@@ -181,6 +181,13 @@ class TestPBWCoherence:
         m, k = level
         assert apply_casimir_pbw(v_rem, m, k, ModVec.single(raw)) == act_gamma(v_rem, m, k, raw)
 
+    @pytest.mark.parametrize("level", [(4, 1), (4, 2), (4, 4)])
+    def test_level_above_n_rejected(self, level, v_rem):
+        # gl(3) has no level-4 elements; the check comes before any action
+        m, k = level
+        with pytest.raises(ValueError, match=r"^need 1 <= k <= m <= n$"):
+            apply_casimir_pbw(v_rem, m, k, ModVec.single(key(3, [(0,), (0, 0)])))
+
     def test_central_elements_commute(self, v_rem):
         # the tower is commutative: cross-apply two levels in both orders
         vec = ModVec.single(key(3, [(0,), (1, 0)], Kind.DERIVATIVE)) + ModVec.single(

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from gtmodules.ratcalc import Jet
-from gtmodules.structure import DropAuditReport, DropEdge, Window
+from gtmodules.structure import Window
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -111,12 +111,3 @@ def test_window_rejects_bad_bounds(radius, margin, shown):
 
 def test_window_margin_defaults_to_one():
     assert Window(Shift.zero(3), 2) == Window(center=Shift.zero(3), radius=2, margin=1)
-
-
-def test_drop_audit_reports_compare_by_content():
-    v = BaseVector.from_rows(REMARK)
-    a, b = DropAuditReport(v), DropAuditReport(vector=v)
-    assert a == b
-    key = TabKey(Shift.zero(3), Kind.REGULAR)
-    b.drops.append(DropEdge(key, "E(1,2)", key, 2, 1, "I"))
-    assert a != b
