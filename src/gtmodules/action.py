@@ -240,11 +240,18 @@ def _check_key(v: BaseVector, key: TabKey) -> None:
 
 
 @lru_cache(maxsize=None)
+def _label(v: BaseVector, key: TabKey) -> TabKey:
+    """The first key object seen equal to key: every generator result
+    names a basis label through this one object, not a copy per term."""
+    return key
+
+
+@lru_cache(maxsize=None)
 def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
     """Raising or lowering generator E_{rs}, |r-s| = 1, on one basis key;
     a key that is not a basis key raises as in :func:`_check_key`."""
     _check_key(v, key)
-    return ModVec((tkey, coeff) for _s0, _kind, tkey, coeff in _summands(v, r, s, key))
+    return ModVec((_label(v, tkey), coeff) for _s0, _kind, tkey, coeff in _summands(v, r, s, key))
 
 
 def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
@@ -254,7 +261,7 @@ def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
     if i == j:
         _check_key(v, key)
         tkey, sg = canonicalize(v, key.kind, key.shift)
-        return ModVec.single(tkey, sg * weight_eigenvalue(v, i, key.shift))
+        return ModVec.single(_label(v, tkey), sg * weight_eigenvalue(v, i, key.shift))
     return act_e(v, i, j, key) if abs(i - j) == 1 else _apply_e_key(v, i, j, key)
 
 
@@ -338,7 +345,7 @@ def _gamma_from_entries(
 # one base vector, so the CLI empties them before each command.  The tuple
 # holds the cache objects themselves: a wrapper rebound over a module name
 # later (a tracer, a mock) must not hide a cache from the reset.
-_MEMO_CACHES = (act_e, _apply_e_key, _gamma_from_entries)
+_MEMO_CACHES = (_label, act_e, _apply_e_key, _gamma_from_entries)
 
 
 def _clear_memo_caches() -> None:

@@ -8,6 +8,7 @@ from gtmodules.action import (
     _apply_key,
     _check_key,
     _clear_memo_caches,
+    _label,
     _row_entries,
     act_e,
     apply_e,
@@ -435,6 +436,54 @@ class TestDiagonal:
         _clear_memo_caches()
 
 
+class TestOneLabelObject:
+    # every cached generator result names a basis label through the one
+    # object _label holds for it, not through a fresh key per result term
+    @pytest.mark.parametrize("vector,radius", [("v_rem", 2), ("v_sing4_rem", 1)])
+    def test_results_share_label_objects(self, request, monkeypatch, vector, radius):
+        # on gl(4) the generators include the depth-2 commutator E(1,4)
+        from gtmodules import action
+
+        v = request.getfixturevalue(vector)
+        n = v.n
+        _clear_memo_caches()
+        results = []
+        unrecorded = action._apply_key
+
+        def recorded(*args):
+            out = unrecorded(*args)
+            results.append(out)
+            return out
+
+        monkeypatch.setattr(action, "_apply_key", recorded)
+        for key in Window(Shift.zero(n), radius).keys(v):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    apply_e(v, i, j, ModVec.single(key))
+        labels = {k for out in results for k in out.support()}
+        assert _label.cache_info().currsize == len(labels)
+        # a key _label had not seen would come back as itself and add an entry
+        assert all(k is _label(v, k) for out in results for k in out.support())
+        assert _label.cache_info().currsize == len(labels)
+        _clear_memo_caches()
+
+    def test_diagonal_returns_the_label_object(self, v_rem):
+        # canonicalize builds a fresh key on each call; the diagonal writes
+        # the one label object instead, also for a non-canonical label
+        _clear_memo_caches()
+        z = Shift(3, ((1,), (2, 0)))
+        zt = tau(v_rem, z)
+        for label, canonical in ((TabKey(z, Kind.DERIVATIVE), TabKey(z, Kind.DERIVATIVE)),
+                                 (TabKey(zt, Kind.DERIVATIVE), TabKey(z, Kind.DERIVATIVE)),
+                                 (TabKey(z, Kind.REGULAR), TabKey(zt, Kind.REGULAR))):
+            for r in range(1, 4):
+                (out,) = _apply_key(v_rem, r, r, label).support()
+                assert out == canonical
+                assert out is _label(v_rem, canonical)
+        assert _label.cache_info().currsize == 2
+        _clear_memo_caches()
+
+
 def test_each_generator_result_is_cached_once(v_rem):
     # adjacent results live in act_e only; _apply_e_key holds commutators
     from gtmodules.action import _apply_e_key, _clear_memo_caches
@@ -451,7 +500,7 @@ def test_each_generator_result_is_cached_once(v_rem):
     _clear_memo_caches()
 
 
-def test_functools_caches_are_the_known_three():
+def test_functools_caches_are_the_known_four():
     # every functools cache bound at module level anywhere in the package;
     # a new one has to be added here on purpose
     import importlib
@@ -467,6 +516,7 @@ def test_functools_caches_are_the_known_three():
             if hasattr(obj, "cache_info"):
                 found.add(f"{obj.__module__}.{obj.__qualname__}")
     known = {
+        "gtmodules.action._label",
         "gtmodules.action.act_e",
         "gtmodules.action._apply_e_key",
         "gtmodules.action._gamma_from_entries",

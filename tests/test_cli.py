@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gtmodules.action import _MEMO_CACHES, NotStandard, _gamma_from_entries, _row_entries, act_e
+from gtmodules.action import _MEMO_CACHES, NotStandard, _gamma_from_entries, _label, _row_entries, act_e
 from gtmodules.cli import main
 from gtmodules.ratcalc import DegenerateFactor, PoleAtZero
 from gtmodules.structure import NotSeparable, Window, basis_key
@@ -516,7 +516,7 @@ class TestVerdictCommand:
 
 class TestMemoLifetime:
     # two one-singular gl(3) vectors with no entry in common; verify fills
-    # all three memo caches
+    # all four memo caches
     FIRST = REMARK_JSON
     SECOND = json.dumps({"rows": [["2/3", "1/4", "1/6"], ["1/9", "1/9"], ["1/11"]]})
 
@@ -542,6 +542,7 @@ class TestMemoLifetime:
         derivative = Shift(3, ((0,), (1, 0)))  # a derivative key of the window
         probes = [
             (act_e, (v, 1, 2, basis_key(v, Shift.zero(3)))),
+            (_label, (v, basis_key(v, Shift.zero(3)))),
             (_gamma_from_entries, (_row_entries(v, derivative, 2), 2)),
         ]
         assert all(self.cached(cache, *args) for cache, args in probes)
@@ -565,6 +566,8 @@ class TestMemoLifetime:
         assert main(["verify", "--radius", "2", "--base-vector", vector]) == 0
         capsys.readouterr()
         assert act_e.cache_info().currsize == 1011
+        # one label object for each of the 328 distinct keys in those results
+        assert _label.cache_info().currsize == 328
 
     def test_reset_ignores_rebound_names(self, capsys, monkeypatch):
         # a wrapper bound over a cached function's module names (as a span
