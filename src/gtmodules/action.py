@@ -256,8 +256,8 @@ def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
 
 def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
     """E_ij on one key.  The diagonal E_ii is the weight times the key,
-    written through its canonical label and sign, and is not cached; act_e
-    holds |i-j| = 1 and the commutator cache |i-j| >= 2."""
+    written through its canonical label and sign; act_e holds |i-j| = 1,
+    and nothing else is cached."""
     if i == j:
         _check_key(v, key)
         tkey, sg = canonicalize(v, key.kind, key.shift)
@@ -265,12 +265,13 @@ def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
     return act_e(v, i, j, key) if abs(i - j) == 1 else _apply_e_key(v, i, j, key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def _apply_e_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
     """E_ij on one key for |i-j| >= 2 by the nested commutator route:
     E_ij = [E_iq, E_qj] with q between i and j.  The choice q = min + 1 is
     fixed for determinism; independence of the choice is property-tested,
-    not assumed."""
+    not assumed.  Each call folds cached act_e results again: maxsize=0
+    stores and hashes nothing and counts every call as a miss."""
     q = min(i, j) + 1
     first = _apply_vec(v, q, j, _apply_key(v, i, q, key))
     second = _apply_vec(v, i, q, _apply_key(v, q, j, key))
@@ -345,6 +346,7 @@ def _gamma_from_entries(
 # one base vector, so the CLI empties them before each command.  The tuple
 # holds the cache objects themselves: a wrapper rebound over a module name
 # later (a tracer, a mock) must not hide a cache from the reset.
+# _apply_e_key stores nothing; it is listed so that its counts reset too.
 _MEMO_CACHES = (_label, act_e, _apply_e_key, _gamma_from_entries)
 
 

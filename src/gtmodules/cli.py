@@ -32,7 +32,7 @@ import sys
 from itertools import chain, product
 
 from . import checks
-from .action import ModVec, NotStandard, _check_key, _clear_memo_caches, act_gamma, apply_e
+from .action import ModVec, NotStandard, _check_key, _clear_memo_caches, _label, act_gamma, apply_e
 from .checks import _modvec_json
 from .ratcalc import DegenerateFactor, PoleAtZero, parse_rat
 from .structure import (
@@ -376,7 +376,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             "failures": failures[:10],
         }
 
-    keys = win.keys(v)
+    # the window keys are the label objects the generator results name
+    keys = [_label(v, key) for key in win.keys(v)]
     shifts = [key.shift for key in keys]
     run("relations", checks.check_relations(v, keys), f"{len(keys)} keys")
     run(

@@ -56,6 +56,10 @@ class Kind(enum.Enum):
     REGULAR = "T"
     DERIVATIVE = "DT"
 
+    # members are singletons compared by identity, so the identity hash is
+    # consistent with equality and skips Enum's Python-level __hash__
+    __hash__ = object.__hash__
+
 
 class _ShiftFields(NamedTuple):
     n: int

@@ -485,18 +485,30 @@ class TestOneLabelObject:
 
 
 def test_each_generator_result_is_cached_once(v_rem):
-    # adjacent results live in act_e only; _apply_e_key holds commutators
-    from gtmodules.action import _apply_e_key, _clear_memo_caches
+    # adjacent results live in act_e only; a commutator E_ij, |i-j| >= 2,
+    # is folded from them again on every call and held nowhere
+    from gtmodules.action import _apply_e_key
 
     _clear_memo_caches()
-    vec = single(3, [(0,), (1, 0)])
+    k0 = key(3, [(0,), (1, 0)])
+    vec = ModVec.single(k0)
     apply_e(v_rem, 1, 2, vec)
     apply_e(v_rem, 1, 2, vec)
     info = act_e.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert _apply_e_key.cache_info().currsize == 0
-    apply_e(v_rem, 1, 3, vec)
-    assert _apply_e_key.cache_info().currsize == 1
+    first = apply_e(v_rem, 1, 3, vec)
+    held = act_e.cache_info()
+    assert apply_e(v_rem, 1, 3, vec) == first
+    info = _apply_e_key.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    # the second E(1,3) found every adjacent result in act_e
+    assert act_e.cache_info()[1:] == held[1:]
+    # E(1,3) = E(1,2)E(2,3) - E(2,3)E(1,2): one entry per adjacent result
+    adjacent = {(1, 2, k0), (2, 3, k0)}
+    adjacent |= {(2, 3, k) for k in act_e(v_rem, 1, 2, k0).support()}
+    adjacent |= {(1, 2, k) for k in act_e(v_rem, 2, 3, k0).support()}
+    assert held.currsize == held.misses == len(adjacent)
     _clear_memo_caches()
 
 

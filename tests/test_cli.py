@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from gtmodules.action import _MEMO_CACHES, NotStandard, _gamma_from_entries, _label, _row_entries, act_e
+from gtmodules.action import (
+    _MEMO_CACHES,
+    NotStandard,
+    _apply_e_key,
+    _gamma_from_entries,
+    _label,
+    _row_entries,
+    act_e,
+)
 from gtmodules.cli import main
 from gtmodules.ratcalc import DegenerateFactor, PoleAtZero
 from gtmodules.structure import NotSeparable, Window, basis_key
@@ -516,9 +524,14 @@ class TestVerdictCommand:
 
 class TestMemoLifetime:
     # two one-singular gl(3) vectors with no entry in common; verify fills
-    # all four memo caches
+    # every memo cache but _apply_e_key, which stores nothing
     FIRST = REMARK_JSON
     SECOND = json.dumps({"rows": [["2/3", "1/4", "1/6"], ["1/9", "1/9"], ["1/11"]]})
+    # the seed-0 vector of the singular3-verify benchmark workload
+    BENCH = json.dumps({
+        "n": 3, "anchors": ["25/29", "14/29", "2/29", "9/29"],
+        "assignment": [[0, 1, 2], [3, 3], [3]], "offsets": [[0, 0, 0], [0, 0], [0]],
+    })
 
     @staticmethod
     def verify(capsys, vector):
@@ -557,17 +570,40 @@ class TestMemoLifetime:
         assert act_e.cache_info().currsize == 0
 
     def test_verify_caches_no_diagonal_result(self, capsys):
-        # the seed-0 vector of the singular3-verify benchmark workload; the
-        # cache held 1,806 entries when E(r,r) results were cached as well
-        vector = json.dumps({
-            "n": 3, "anchors": ["25/29", "14/29", "2/29", "9/29"],
-            "assignment": [[0, 1, 2], [3, 3], [3]], "offsets": [[0, 0, 0], [0, 0], [0]],
-        })
-        assert main(["verify", "--radius", "2", "--base-vector", vector]) == 0
+        # the cache held 1,806 entries when E(r,r) results were cached as well
+        assert main(["verify", "--radius", "2", "--base-vector", self.BENCH]) == 0
         capsys.readouterr()
         assert act_e.cache_info().currsize == 1011
         # one label object for each of the 328 distinct keys in those results
         assert _label.cache_info().currsize == 328
+
+    def test_verify_caches_no_commutator_result(self, capsys):
+        # E_ij, |i-j| >= 2, is folded from act_e results on every call: the
+        # commutator memo held 387 results here when it stored them
+        assert main(["verify", "--radius", "2", "--base-vector", self.BENCH]) == 0
+        capsys.readouterr()
+        info = _apply_e_key.cache_info()
+        assert info.misses > 0
+        assert (info.hits, info.currsize) == (0, 0)
+        assert act_e.cache_info().currsize == 1011
+
+    def test_verify_window_keys_are_labels(self, capsys, monkeypatch):
+        # the window keys verify checks are the label objects its results name
+        from gtmodules import checks
+
+        seen = []
+        unrecorded = checks.check_relations
+
+        def recorded(v, keys):
+            seen.append((v, keys))
+            return unrecorded(v, keys)
+
+        monkeypatch.setattr(checks, "check_relations", recorded)
+        self.verify(capsys, self.FIRST)
+        ((v, keys),) = seen
+        labels = _label.cache_info().currsize
+        assert all(k is _label(v, k) for k in keys)
+        assert _label.cache_info().currsize == labels
 
     def test_reset_ignores_rebound_names(self, capsys, monkeypatch):
         # a wrapper bound over a cached function's module names (as a span

@@ -5,7 +5,8 @@ the memo caches, so a change in ``src/`` can break it without breaking any
 library test.  One traced op of the cheapest structure workload (about 2 s)
 and one of the verify workload, the only one that runs ``act_e`` and
 ``_apply_e_key`` whose ``cache_info()`` the trace reads (about 1 s), show it
-still runs and still passes its correctness gate.
+still runs and still passes its correctness gate.  The verify op's counts
+also pin which generator results the caches hold.
 """
 
 import json
@@ -17,12 +18,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Counts the trace reads on the seed-0 verify op, which pin the memo policy:
+# act_e holds the 1,011 adjacent results, _apply_e_key holds no commutator
+# (so none is ever a hit), and the caches end with those, 328 labels and 58
+# eigenvalue pairs.
+MEMO_POLICY = {
+    "generic4-structure": {},
+    "singular3-verify": {
+        "action.apply_e_key.hit_ratio": 0.0,
+        "action.act_e.misses": 1011,
+        "cache.entries": 1397,
+    },
+}
 
-@pytest.mark.parametrize("workload", ["generic4-structure", "singular3-verify"])
+
+@pytest.mark.parametrize("workload", sorted(MEMO_POLICY))
 def test_traced_benchmark_runs_one_correct_op(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1", "--seconds", "0"],
         capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True, done.stdout + done.stderr
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert {name: metrics[name] for name in MEMO_POLICY[workload]} == MEMO_POLICY[workload]
