@@ -225,16 +225,12 @@ def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int,
 def _check_key(v: BaseVector, key: TabKey) -> None:
     """Raise NotStandard for a non-standard tableau of the finite family and
     ValueError for an unsupported vector, a derivative key outside the
-    one-singular family or a swap-fixed derivative key."""
+    one-singular family (canonicalize's error) or a swap-fixed one."""
     cls = v.classification
     if cls.family is Family.UNSUPPORTED:
         raise ValueError("unsupported base vector (more than one singular pair)")
-    if key.kind is Kind.DERIVATIVE:
-        if cls.family is not Family.ONE_SINGULAR:
-            raise ValueError("derivative tableaux exist only in the one-singular family")
-        k, i, j = cls.singular
-        if key.shift.get(k, i) == key.shift.get(k, j):
-            raise ValueError("swap-fixed derivative labels are zero and not basis keys")
+    if key.kind is Kind.DERIVATIVE and not canonicalize(v, key.kind, key.shift)[1]:
+        raise ValueError("swap-fixed derivative labels are zero and not basis keys")
     if cls.family is Family.FINITE_STANDARD and not is_standard(v, key.shift):
         raise NotStandard("input tableau is not standard")
 

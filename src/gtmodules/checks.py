@@ -160,15 +160,16 @@ def check_dpair_properties(seed: int = 0, count: int = 100) -> list[dict]:
 def check_character_pairing(v: BaseVector, shifts: Sequence[Shift]) -> list[dict]:
     """Two of the given labels share every subalgebra eigenvalue iff they
     agree up to the singular swap."""
-    k, i, j = singular_triple(v)
+    singular_triple(v)
     levels = [(m, s) for m in range(1, v.n + 1) for s in range(1, m + 1)]
+    labels = [
+        (w, tuple(gamma_eval(v, m, s, w) for m, s in levels), canonicalize(v, Kind.REGULAR, w)[0]) for w in shifts
+    ]
     failures = []
-    chars = {w: tuple(gamma_eval(v, m, s, w) for m, s in levels) for w in shifts}
-    for z in shifts:
-        for w in shifts:
-            same_char = chars[z] == chars[w]
-            swap_related = w == z or w == z.swap(k, i, j)
-            if same_char != swap_related:
+    for z, z_char, z_reg in labels:
+        for w, w_char, w_reg in labels:
+            same_char = z_char == w_char
+            if same_char != (z_reg == w_reg):
                 failures.append({"z": z.to_json(), "w": w.to_json(), "same_char": same_char})
     return failures
 
@@ -185,14 +186,14 @@ def check_separation(
     in z-major order, so no list of all pairs is built; the draw picks the
     same pairs as sampling that list would.
     """
-    k, i, j = singular_triple(v)
-    swapped = [(z, z.swap(k, i, j)) for z in shifts]
+    singular_triple(v)
+    labels = [(w, canonicalize(v, Kind.REGULAR, w)[0]) for w in shifts]
 
     def all_pairs():
-        for z, zs in swapped:
-            for w in shifts:
-                if w != z and w != zs:
-                    yield z, w
+        for z, z_reg in labels:
+            for w, w_reg in labels:
+                if w_reg != z_reg:
+                    yield z, z_reg, w
 
     pairs = all_pairs()
     if sample is not None:
@@ -205,9 +206,8 @@ def check_separation(
                     picked[order[pos]] = pair
             pairs = picked
     failures = []
-    for z, w in pairs:
+    for z, reg_z, w in pairs:
         recipe = separator(v, z, w)
-        reg_z, _ = canonicalize(v, Kind.REGULAR, z)
         der_z, sg = canonicalize(v, Kind.DERIVATIVE, z)
         wkey = basis_key(v, w)
         ok = recipe.apply(v, reg_z).is_zero

@@ -34,6 +34,7 @@ from .tableau import (
     Kind,
     Shift,
     TabKey,
+    canonicalize,
     singular_triple,
 )
 
@@ -76,14 +77,13 @@ def key_sort_key(key: TabKey):
 
 
 def basis_key(v: BaseVector, w: Shift) -> TabKey:
-    """The canonical basis element labelled by the shift w: regular when the
-    singular components satisfy w_ki <= w_kj, derivative otherwise."""
-    cls = v.classification
-    if cls.family is not Family.ONE_SINGULAR:
-        return TabKey(w, Kind.REGULAR)
-    k, i, j = cls.singular
-    if w.get(k, i) - w.get(k, j) > 0:
-        return TabKey(w, Kind.DERIVATIVE)
+    """The canonical basis element labelled by the shift w: the derivative
+    tableau when w is its canonical label (sign +1), the regular one
+    otherwise."""
+    if v.classification.family is Family.ONE_SINGULAR:
+        key, sign = canonicalize(v, Kind.DERIVATIVE, w)
+        if sign > 0:
+            return key
     return TabKey(w, Kind.REGULAR)
 
 
@@ -184,8 +184,7 @@ class SeparatorRecipe(NamedTuple):
     k: int | None  # singular row, present when beta != 0
 
     def apply(self, v: BaseVector, target: TabKey | ModVec) -> ModVec:
-        vec = target if isinstance(target, ModVec) else ModVec.single(target)
-        u = act_gamma(v, self.r, self.s, act_gamma(v, self.r, self.s, vec, shift=self.z), shift=self.z)
+        u = act_gamma(v, self.r, self.s, act_gamma(v, self.r, self.s, target, shift=self.z), shift=self.z)
         out = u.scale(1 / (self.a * self.a))
         if self.beta:
             corr = act_gamma(v, self.k, 2, u, shift=self.w)
@@ -203,8 +202,8 @@ def separator(v: BaseVector, z: Shift, w: Shift) -> SeparatorRecipe:
     correction through the level (k, 2) recentred element removes the
     regular component it would otherwise leak.
     """
-    k, i, j = singular_triple(v)
-    if w == z or w == z.swap(k, i, j):
+    k = singular_triple(v)[0]
+    if canonicalize(v, Kind.REGULAR, w)[0] == canonicalize(v, Kind.REGULAR, z)[0]:
         raise ValueError("labels coincide up to the singular swap; nothing to separate")
     found = None
     for r in range(1, v.n + 1):
@@ -447,8 +446,8 @@ def _drop_config(
     basis produces the mirrored configurations with identical coefficient
     mechanics.  A derivative source matches I, or II/III when the moved
     singular entry (k, s0) equals an entry of the numerator row k +- 1; a
-    regular source matches IV/V by the same test once its singular entries
-    are equal.
+    regular source matches IV/V by the same test once its label is
+    swap-fixed (the derivative tableau there is zero).
     """
     cls = v.classification
     if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
@@ -460,7 +459,7 @@ def _drop_config(
         return v.int_diff(z, r, s, q, t) == 0
 
     derivative = src.kind is Kind.DERIVATIVE
-    if not (derivative or equal(k, i, k, j)):
+    if not derivative and canonicalize(v, Kind.DERIVATIVE, z)[1]:
         return None
     if derivative and row == k - 1 and direction > 0 and (equal(k - 1, s0, k, i) or equal(k - 1, s0, k, j)):
         return "I"

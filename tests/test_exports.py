@@ -1,4 +1,4 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and the row-k swap is stated once.
 
 A deletion that leaves its name in a module's ``__all__`` breaks
 ``from gtmodules.<module> import *`` only when someone runs it, and a
@@ -49,3 +49,27 @@ def test_test_only_helpers_stay_out_of_the_library():
     assert not hasattr(DropEdge, "to_json")
     # only the tests compare reports, by vars()
     assert "__eq__" not in vars(DropAuditReport)
+
+
+def swap_calls(node) -> int:
+    return sum(
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "swap"
+        for call in ast.walk(node)
+    )
+
+
+def test_only_canonicalize_swaps_the_singular_pair():
+    # every other module reads the quotient by the row-k swap (which label
+    # names the basis vector, swap-fixed labels, swap-related pairs) from
+    # canonicalize, so the rule is not restated
+    message = "derivative tableaux exist only in the one-singular family"
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(gtmodules.__file__).parent.glob("*.py"))
+    }
+    canon = [f for f in ast.walk(trees["tableau.py"]) if isinstance(f, ast.FunctionDef) and f.name == "canonicalize"]
+    assert len(canon) == 1 and swap_calls(canon[0])
+    counts = {name: swap_calls(tree) for name, tree in trees.items()}
+    assert {name: c for name, c in counts.items() if c} == {"tableau.py": swap_calls(canon[0])}
+    constants = [node.value for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert constants.count(message) == 1

@@ -9,6 +9,7 @@ from gtmodules.action import (
     gamma_dvbar,
     gamma_eval,
 )
+from gtmodules.structure import Window
 from gtmodules.tableau import Kind, Shift, TabKey, canonicalize
 
 from helpers import tau
@@ -199,8 +200,49 @@ class TestPBWCoherence:
             assert ab == ba
 
 
+def pairing_oracle(v, shifts, char):
+    """The character-pairing failures by a plain loop over ordered pairs,
+    swap-relatedness read from ``tau``."""
+    chars = {w: char(w) for w in shifts}
+    failures = []
+    for z in shifts:
+        for w in shifts:
+            same_char = chars[z] == chars[w]
+            if same_char != (w == z or w == tau(v, z)):
+                failures.append({"z": z.to_json(), "w": w.to_json(), "same_char": same_char})
+    return failures
+
+
 class TestCharacterPairing:
     def test_characters_separate_up_to_swap(self, v_rem, win3_r1):
         from gtmodules.checks import check_character_pairing
 
         assert check_character_pairing(v_rem, win3_r1.shifts()) == []
+
+    @pytest.mark.parametrize(
+        "fixture,shared,planted",
+        [
+            ("v_rem", ((0,), (1, 0)), ((1,), (0, 0))),
+            ("v_sing4_row3", ((0,), (0, 0), (1, 0, 0)), ((0,), (1, 0), (0, 0, 0))),
+        ],
+        ids=["gl3", "gl4"],
+    )
+    def test_shared_character_fails_as_the_oracle(self, request, monkeypatch, fixture, shared, planted):
+        # the planted label is given the character of a label it is not
+        # swap-related to, so it pairs with that label and its swap
+        import gtmodules.checks as checks
+
+        v = request.getfixturevalue(fixture)
+        n = v.n
+        shared, planted = Shift(n, shared), Shift(n, planted)
+        assert planted not in (shared, tau(v, shared)) and shared != tau(v, shared)
+        # gl(3): the radius-1 window; gl(4): its slice with row 1 at the centre
+        shifts = [w for w in Window(Shift.zero(n), 1).shifts() if n == 3 or w.rows[0] == (0,)]
+        assert {shared, tau(v, shared), planted} <= set(shifts)
+        monkeypatch.setattr(
+            checks, "gamma_eval", lambda v, m, s, w: gamma_eval(v, m, s, shared if w == planted else w)
+        )
+        levels = [(m, s) for m in range(1, n + 1) for s in range(1, m + 1)]
+        expected = pairing_oracle(v, shifts, lambda w: [checks.gamma_eval(v, m, s, w) for m, s in levels])
+        assert len(expected) == 4
+        assert checks.check_character_pairing(v, shifts) == expected

@@ -25,7 +25,7 @@ from gtmodules.structure import (
     reach_scan,
     singular_triple,
 )
-from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey
+from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize
 
 from helpers import tau
 
@@ -119,6 +119,28 @@ class TestWindow:
         assert len(win3_r1.shifts()) == 27
         assert len(win3_r1.keys(v_rem)) == 27
         assert sum(win3_r1.is_interior(w) for w in win3_r1.shifts()) == 1
+
+
+class TestBasisKey:
+    @pytest.mark.parametrize(
+        "fixture,radius", [("v_rem", 2), ("v_sing_top", 2), ("v_sing4_row3", 1)], ids=["rem", "top", "gl4"]
+    )
+    def test_one_singular_key_is_the_canonical_label(self, request, fixture, radius):
+        v = request.getfixturevalue(fixture)
+        k, i, j = singular_triple(v)
+        kinds = set()
+        for w in Window(Shift.zero(v.n), radius).shifts():
+            key = basis_key(v, w)
+            assert canonicalize(v, key.kind, w) == (key, 1)
+            assert (key.kind is Kind.DERIVATIVE) == (w.get(k, i) > w.get(k, j))
+            kinds.add(key.kind)
+        assert kinds == set(Kind)
+
+    @pytest.mark.parametrize("fixture", ["v_gen3", "v_fin3_210"])
+    def test_other_families_key_is_regular(self, request, fixture):
+        v = request.getfixturevalue(fixture)
+        for w in Window(Shift.zero(3), 2).shifts():
+            assert basis_key(v, w) == TabKey(w, Kind.REGULAR)
 
 
 class TestOmegaSets:
