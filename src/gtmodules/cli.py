@@ -87,7 +87,11 @@ def _parse_key(v: BaseVector, text: str) -> TabKey:
     stripped = text.strip()
     try:
         if stripped.startswith("{"):
-            key = TabKey.from_json(v.n, json.loads(stripped))
+            try:
+                data = json.loads(stripped)
+            except RecursionError:  # nested past the decoder's depth limit
+                raise ValueError("JSON nested too deeply to decode") from None
+            key = TabKey.from_json(v.n, data)
         else:
             kind, sep, rows = stripped.partition("@")
             if not sep:
@@ -105,14 +109,13 @@ def _load_base_vector(args) -> BaseVector:
         if conflicts:
             raise InputError(f"--base-vector conflicts with --{', --'.join(conflicts)}; give one or the other")
         text = args.base_vector
-        if text.startswith("@"):
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        elif text.lstrip().startswith("{"):
+        if text.startswith("@") or not text.lstrip().startswith("{"):
+            with open(text.removeprefix("@"), "r", encoding="utf-8") as fh:
+                text = fh.read()
+        try:
             data = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+        except RecursionError:  # nested past the decoder's depth limit
+            raise InputError("--base-vector: JSON nested too deeply to decode") from None
         return BaseVector.from_json(data)
     if getattr(args, "anchors", None):
         if not getattr(args, "assignment", None):
@@ -129,14 +132,8 @@ def _load_base_vector(args) -> BaseVector:
                 offsets = [[0] * len(row) for row in assignment]
         except ValueError as exc:
             raise InputError(f"{flag} {text!r}: {exc}") from None
-        n = len(assignment)
         return BaseVector.from_json(
-            {
-                "n": n,
-                "anchors": [str(a) for a in anchors],
-                "assignment": assignment,
-                "offsets": offsets,
-            }
+            {"n": len(assignment), "anchors": [str(a) for a in anchors], "assignment": assignment, "offsets": offsets}
         )
     raise InputError("no base vector given (use --base-vector or --anchors/--assignment)")
 
@@ -188,16 +185,16 @@ def _enumerate_standard(v: BaseVector) -> list[Shift]:
 
 
 def cmd_finite(args) -> tuple[dict, int]:
-    if args.weight and args.top_row:
+    if args.weight is not None and args.top_row is not None:
         raise InputError("--weight conflicts with --top-row; give one or the other")
-    flag, text = ("--weight", args.weight) if args.weight else ("--top-row", args.top_row)
-    if not text:
+    flag, text = ("--weight", args.weight) if args.weight is not None else ("--top-row", args.top_row)
+    if text is None:
         raise InputError("finite requires --weight or --top-row")
     try:
         entries = _parse_list(text)
     except ValueError as exc:
         raise InputError(f"{flag} {text!r}: {exc}") from None
-    v = BaseVector.from_weight(entries) if args.weight else BaseVector.finite(entries)
+    v = BaseVector.from_weight(entries) if flag == "--weight" else BaseVector.finite(entries)
     shifts = _enumerate_standard(v)
     report = {
         "command": "finite",
@@ -427,35 +424,29 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--top-row", help="top row entries directly, e.g. '2,0,-2'")
     q.add_argument("--tables", action="store_true", help="include full action tables")
     q.add_argument("--json-out")
-    q.set_defaults(func=cmd_finite)
 
     q = sub.add_parser("generic", help="apply generators in the generic family")
     common(q, window=False)
     q.add_argument("--apply", action="append", help="space-separated generators, e.g. 'E(1,2) c(2,2)'")
     q.add_argument("--key", action="append", help="basis key 'T@0,0;0' or JSON")
-    q.set_defaults(func=cmd_generic)
 
     q = sub.add_parser("singular", help="apply generators in the one-singular family")
     common(q, window=False)
     q.add_argument("--apply", action="append", help="e.g. 'E(2,3) C(2,2)@0,0;0'")
     q.add_argument("--key", action="append", help="basis key 'DT@2,0;0' or JSON")
-    q.set_defaults(func=cmd_singular)
 
     q = sub.add_parser("verify", help="run the invariant suites")
     common(q)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--sample", type=int, help="separation pairs to sample, one-singular vectors only (default 60)")
-    q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("structure", help="window structure report")
     common(q)
     q.add_argument("--key", action="append", help="focus key (default: window center)")
-    q.set_defaults(func=cmd_structure)
 
     q = sub.add_parser("verdict", help="irreducibility verdict with witness audit")
     common(q)
     q.add_argument("--margin", type=int, default=1, help="interior margin (default 1)")
-    q.set_defaults(func=cmd_verdict)
     return p
 
 
@@ -494,16 +485,24 @@ def _write_report(report, sinks: list) -> None:
         out.flush()
 
 
+# Built by the first main call, not at import, and reused: parse_args makes a
+# fresh Namespace per call.  Commands are looked up by name at call time, so
+# a cmd_* rebound after the first call still runs.
+_PARSER = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     # Memo entries are keyed on one command's base vector.  Emptying them on
     # entry, not on exit, holds a long-lived caller to one command's entries
     # and leaves the last command's hit and miss counts readable.
     _clear_memo_caches()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     sinks = [sys.stdout]
     try:
-        report, code = args.func(args)
+        report, code = globals()[f"cmd_{args.command}"](args)
         if getattr(args, "json_out", None):  # error reports go to stdout only
             # opened before stdout gets a byte, so that a bad path leaves
             # stdout with the error report alone

@@ -184,6 +184,35 @@ class TestKeyInput:
         assert report["message"] == "--center '1,0': a gl(3) shift must have 2 rows (rows 1..2), got 1"
 
 
+class TestDeepJson:
+    # JSON nested past the decoder's recursion limit is malformed input
+    # naming its flag, not a RecursionError read as exit 1
+    DEEP = "[" * 50000 + "]" * 50000
+
+    def run_deep(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.out + captured.err
+        return json.loads(captured.out)
+
+    def test_base_vector_literal(self, capsys):
+        report = self.run_deep(capsys, ["verdict", "--base-vector", '{"rows": ' + self.DEEP + "}"])
+        assert report == {"error": "InputError", "message": "--base-vector: JSON nested too deeply to decode"}
+
+    def test_base_vector_file(self, capsys, tmp_path):
+        path = tmp_path / "vector.json"
+        path.write_text('{"rows": ' + self.DEEP + "}")
+        report = self.run_deep(capsys, ["verdict", "--base-vector", f"@{path}"])
+        assert report == {"error": "InputError", "message": "--base-vector: JSON nested too deeply to decode"}
+
+    def test_key(self, capsys):
+        key = '{"shift": ' + self.DEEP + ', "kind": "T"}'
+        report = self.run_deep(capsys, ["singular", "--base-vector", REMARK_JSON, "--key", key])
+        assert report["error"] == "InputError"
+        assert report["message"] == f"--key {key!r}: JSON nested too deeply to decode"
+
+
 class TestApplyInputChecks:
     @pytest.mark.parametrize("generator", ["c(2,2)", "C(2,2)@0,0;0", "E(1,2)"])
     @pytest.mark.parametrize(
@@ -223,6 +252,8 @@ class TestEmptyField:
             (["structure", "--base-vector", REMARK_JSON, "--radius", "1", "--center", "1,0,;0"], "--center"),
             (["finite", "--weight", "2,,1,0"], "--weight"),
             (["finite", "--top-row", "2,,0"], "--top-row"),
+            (["finite", "--weight", ""], "--weight"),
+            (["finite", "--top-row", ""], "--top-row"),
             (["singular", "--base-vector", REMARK_JSON, "--apply", "E(1,,2)"], "--apply"),
             (["singular", "--base-vector", REMARK_JSON, "--apply", "C(2,2)@0,,0;0"], "--apply"),
             (["generic", *ANCHORS, "--assignment", "0,1,2;3,4,;5"], "--assignment"),
@@ -230,7 +261,8 @@ class TestEmptyField:
             (["generic", "--anchors", "1/2,,1/5,1/7,1/11,1/13", "--assignment", "0,1,2;3,4;5"], "--anchors"),
             (["generic", "--anchors", "1/2,1/3,1/5,1/7,1/11,1/13,", "--assignment", "0,1,2;3,4;5"], "--anchors"),
         ],
-        ids=["key", "center-inner", "center-trailing", "weight", "top-row", "apply", "apply-shift",
+        ids=["key", "center-inner", "center-trailing", "weight", "top-row", "weight-empty", "top-row-empty",
+             "apply", "apply-shift",
              "assignment", "offsets", "anchors-inner", "anchors-trailing"],
     )
     def test_empty_field_exit_2(self, capsys, argv, flag):
@@ -289,6 +321,12 @@ class TestIgnoredFlags:
 
     def test_finite_weight_with_top_row_exit_2(self, capsys):
         code, report = run_cli(capsys, "finite", "--weight", "2,1,0", "--top-row", "5,0,-9")
+        assert code == 2
+        assert report["message"] == "--weight conflicts with --top-row; give one or the other"
+
+    def test_finite_empty_weight_with_top_row_exit_2(self, capsys):
+        # an empty --weight is still a given --weight, not an absent one
+        code, report = run_cli(capsys, "finite", "--weight", "", "--top-row", "3,1,0")
         assert code == 2
         assert report["message"] == "--weight conflicts with --top-row; give one or the other"
 
@@ -619,6 +657,65 @@ class TestMemoLifetime:
         self.verify(capsys, self.SECOND)
         v = BaseVector.from_json(json.loads(self.FIRST))
         assert not self.cached(act_e, v, 1, 2, basis_key(v, Shift.zero(3)))
+
+
+class TestParserLifetime:
+    # main builds its parser on the first call, reuses it, and picks the
+    # command function by name at call time
+    FINITE = ["finite", "--weight", "1,0"]
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse, sys; sys.path.insert(0, sys.argv[1]); built = []; "
+            "init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(init(self, *a, **k)); "
+            "import gtmodules.cli; print(len(built), gtmodules.cli._PARSER)"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert done.stdout.split() == ["0", "None"]
+
+    def test_built_once(self, capsys, monkeypatch):
+        from gtmodules import cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        assert run_cli(capsys, *self.FINITE)[0] == 0
+        assert run_cli(capsys, "finite", "--weight", "2,1,0")[1]["dimension"] == 8
+        assert built == [1]
+
+    def test_command_rebound_after_first_call(self, capsys, monkeypatch):
+        from gtmodules import cli
+
+        assert run_cli(capsys, *self.FINITE)[0] == 0
+        assert cli._PARSER is not None
+        monkeypatch.setattr(cli, "cmd_finite", lambda args: ({"rebound": args.weight}, 0))
+        assert run_cli(capsys, *self.FINITE) == (0, {"rebound": "1,0"})
+
+    def test_command_leaves_no_argparse_garbage(self, capsys):
+        import gc
+        import types
+
+        argv = ["structure", "--base-vector", REMARK_JSON, "--radius", "1"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            left = [
+                o for o in gc.garbage
+                if type(o).__module__ == "argparse" or isinstance(o, types.FunctionType) and o.__module__ == "argparse"
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert left == []
 
 
 class TestVerify:
