@@ -42,7 +42,7 @@ def main():
     print(f"predicted submodule basis in window: {len(n_basis)} labels")
     print(f"predicted irreducible subquotient:   {len(classes[om])} labels")
 
-    closure = reach_closure(reach_scan(v, keys)[0], key)
+    closure = [keys[i] for i in reach_closure(reach_scan(v, keys)[0], keys.index(key))]
     print(f"reachability closure from the center: {len(closure)} labels")
     interior_cl = {k for k in closure if win.is_interior(k.shift)}
     interior_n = {k for k in n_basis if win.is_interior(k.shift)}

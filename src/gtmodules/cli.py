@@ -104,11 +104,16 @@ def _parse_key(v: BaseVector, text: str) -> TabKey:
 
 
 def _load_base_vector(args) -> BaseVector:
-    if getattr(args, "base_vector", None):
-        conflicts = [flag for flag in ("anchors", "assignment", "offsets") if getattr(args, flag, None)]
+    """The base vector of --base-vector, or of --anchors, --assignment and
+    --offsets.  A flag given is read even when its value is empty, so that an
+    empty value is an error naming it rather than a flag left out."""
+    if getattr(args, "base_vector", None) is not None:
+        conflicts = [flag for flag in ("anchors", "assignment", "offsets") if getattr(args, flag, None) is not None]
         if conflicts:
             raise InputError(f"--base-vector conflicts with --{', --'.join(conflicts)}; give one or the other")
         text = args.base_vector
+        if not text.strip():
+            raise InputError(f"--base-vector {text!r}: empty field in {text!r}")
         if text.startswith("@") or not text.lstrip().startswith("{"):
             with open(text.removeprefix("@"), "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -117,15 +122,15 @@ def _load_base_vector(args) -> BaseVector:
         except RecursionError:  # nested past the decoder's depth limit
             raise InputError("--base-vector: JSON nested too deeply to decode") from None
         return BaseVector.from_json(data)
-    if getattr(args, "anchors", None):
-        if not getattr(args, "assignment", None):
+    if getattr(args, "anchors", None) is not None:
+        if getattr(args, "assignment", None) is None:
             raise InputError("--anchors requires --assignment")
         flag, text = "--anchors", args.anchors
         try:
             anchors = _parse_list(text, parse_rat)
             flag, text = "--assignment", args.assignment
             assignment = _parse_rows(text)
-            if getattr(args, "offsets", None):
+            if getattr(args, "offsets", None) is not None:
                 flag, text = "--offsets", args.offsets
                 offsets = _parse_rows(text)
             else:
@@ -145,7 +150,7 @@ def _window(args, n: int) -> Window:
     if not 0 <= margin <= args.radius:
         raise InputError(f"--margin {margin}: the margin must lie between 0 and --radius {args.radius}")
     try:
-        center = _parse_shift(n, args.center) if args.center else Shift.zero(n)
+        center = Shift.zero(n) if args.center is None else _parse_shift(n, args.center)
     except ValueError as exc:
         raise InputError(f"--center {args.center!r}: {exc}") from None
     return Window(center=center, radius=args.radius, margin=margin)
@@ -298,9 +303,11 @@ def cmd_structure(args) -> tuple[dict, int]:
     else:
         key = basis_key(v, win.center)
     keys = win.keys(v)
-    graph, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)
-    if key not in graph:
-        raise InputError("--key is not a basis key of the window")
+    succ, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)
+    try:
+        focus = keys.index(key)
+    except ValueError:
+        raise InputError("--key is not a basis key of the window") from None
     report: dict = {
         "command": "structure",
         "base_vector": v.to_json(),
@@ -309,14 +316,14 @@ def cmd_structure(args) -> tuple[dict, int]:
         "key": key.to_json(),
         "omega_plus": sorted(list(t) for t in omega_plus(v, key)),
     }
-    closure = reach_closure(graph, key)
-    report["reach_closure_size"] = len(closure)
-    report["window_size"] = len(graph)
-    components = reach_components(graph)
+    report["reach_closure_size"] = len(reach_closure(succ, focus))
+    report["window_size"] = len(keys)
+    components = reach_components(succ, keys)
     report["reach_components"] = {
         "count": len(components),
         "sizes": [len(c) for c in components[:10]],
     }
+    del succ, components  # read no further: freed before the audit JSON is built
     if fam is Family.GENERIC:
         classes = omega_classes(v, keys)
         om = omega_plus(v, key)

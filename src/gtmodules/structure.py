@@ -231,15 +231,15 @@ def separator(v: BaseVector, z: Shift, w: Shift) -> SeparatorRecipe:
 
 def reach_scan(
     v: BaseVector, keys: list[TabKey], audit: bool = False
-) -> tuple[dict[TabKey, list[TabKey]], DropAuditReport | None]:
+) -> tuple[list[list[int]], DropAuditReport | None]:
     """Reach graph on the window keys, and with ``audit`` their drop audit,
     from one pass over the generator summands.
 
-    The graph maps each key, in the given order, to the other window keys
-    that receive a nonzero coefficient from one raising or lowering
-    generator applied to it, in first-seen order and stored as the window's
-    own key objects.  Each generator's summands are read once and summed into
-    a vector, so targets whose summands cancel get no edge.  In the
+    The graph is indexed by position in ``keys``: entry i lists the
+    positions of the other window keys that receive a nonzero coefficient
+    from one raising or lowering generator applied to key i, in first-seen
+    order.  Each generator's summands are read once and summed into a
+    vector, so targets whose summands cancel get no edge.  In the
     one-singular family a derivative key also reaches the support of the
     recentred level (k, 2) element, the only single element of the
     subalgebra that moves a basis vector.
@@ -248,13 +248,14 @@ def reach_scan(
     size bound.  A size decrease of two or more is a violation; a decrease
     of exactly one must match one of the five local configurations.  Both
     lists must come back empty for the audit to pass (the generic family
-    admits no decrease at all).
+    admits no decrease at all).  An audited edge names the window's own key
+    object for a target inside the window.
     """
     cls = v.classification
     if audit and cls.family not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise ValueError("audit requires a generic or one-singular vector")
     report = DropAuditReport(vector=v) if audit else None
-    window = {key: key for key in keys}
+    position = {key: i for i, key in enumerate(keys)}
     # the raising and lowering generators; the diagonal E(r,r) maps a key
     # only to itself and moves nothing
     gens = [(a, b) for r in range(1, v.n) for a, b in ((r, r + 1), (r + 1, r))]
@@ -262,10 +263,11 @@ def reach_scan(
     def terms(key: TabKey, size_src: int, a: int, b: int):
         for s0, comp_kind, tkey, coeff in _summands(v, a, b, key):
             if report is not None:
-                report.scan(key, size_src, a, b, s0, comp_kind, tkey)
+                i = position.get(tkey)
+                report.scan(key, size_src, a, b, s0, comp_kind, tkey if i is None else keys[i])
             yield tkey, coeff
 
-    graph: dict[TabKey, list[TabKey]] = {}
+    succ: list[list[int]] = []
     for key in keys:
         _check_key(v, key)
         targets: dict[TabKey, None] = {}
@@ -275,84 +277,86 @@ def reach_scan(
         if cls.family is Family.ONE_SINGULAR and key.kind is Kind.DERIVATIVE:
             k = cls.singular[0]
             targets.update(dict.fromkeys(act_gamma(v, k, 2, key, shift=key.shift).support()))
-        graph[key] = [window[tkey] for tkey in targets if tkey in window]
-    return graph, report
+        succ.append([i for i in map(position.get, targets) if i is not None])
+    return succ, report
 
 
-def reach_closure(graph: dict[TabKey, list[TabKey]], key: TabKey) -> frozenset[TabKey]:
-    """Transitive closure of single-generator reachability from a window key,
-    read off the window graph.
+def reach_closure(succ: list[list[int]], start: int) -> list[int]:
+    """Positions reachable from position ``start`` of the reach graph, start
+    first and then in breadth-first order: the transitive closure of
+    single-generator reachability from a window key.
 
     Every member is genuinely reachable by one enveloping-algebra element;
     boundary truncation can only omit keys, never add them.
     """
-    seen = {key}
-    frontier = [key]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for tkey in graph[cur]:
-                if tkey not in seen:
-                    seen.add(tkey)
-                    nxt.append(tkey)
-        frontier = nxt
-    return frozenset(seen)
+    seen = bytearray(len(succ))
+    seen[start] = 1
+    order = [start]
+    for cur in order:  # grows while it is read
+        for t in succ[cur]:
+            if not seen[t]:
+                seen[t] = 1
+                order.append(t)
+    return order
 
 
-def reach_components(graph: dict[TabKey, list[TabKey]]) -> list[frozenset[TabKey]]:
-    """Strongly connected components of the window reachability digraph,
-    largest first.
+def reach_components(succ: list[list[int]], keys: list[TabKey]) -> list[list[int]]:
+    """Strongly connected components of the reach graph (Tarjan), each a
+    list of positions, largest first and then by their least key under
+    :func:`key_sort_key`.
 
     Boundary keys often form singletons because their outgoing edges leave
     the window; claims should therefore be read on interior keys only.
     """
-    index: dict[TabKey, int] = {}
-    low: dict[TabKey, int] = {}
-    on_stack: set[TabKey] = set()
-    stack: list[TabKey] = []
-    components: list[frozenset[TabKey]] = []
-    counter = [0]
-
-    def strongconnect(root: TabKey):
-        work = [(root, iter(graph[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+    size = len(succ)
+    index = [-1] * size
+    low = [0] * size
+    on_stack = bytearray(size)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph[succ])))
-                    advanced = True
+        on_stack[root] = 1
+        # the DFS path, and the next edge to read at each of its positions
+        path, offset = [root], [0]
+        while path:
+            node = path[-1]
+            row = succ[node]
+            e = offset[-1]
+            while e < len(row):
+                t = row[e]
+                e += 1
+                if index[t] < 0:
+                    offset[-1] = e
+                    index[t] = low[t] = counter
+                    counter += 1
+                    stack.append(t)
+                    on_stack[t] = 1
+                    path.append(t)
+                    offset.append(0)
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(comp))
-
-    for k in graph:
-        if k not in index:
-            strongconnect(k)
-    return sorted(components, key=lambda c: (-len(c), min(key_sort_key(k) for k in c)))
+                if on_stack[t] and index[t] < low[node]:
+                    low[node] = index[t]
+            else:
+                path.pop()
+                offset.pop()
+                if path and low[node] < low[path[-1]]:
+                    low[path[-1]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        m = stack.pop()
+                        on_stack[m] = 0
+                        comp.append(m)
+                        if m == node:
+                            break
+                    components.append(comp)
+    return sorted(components, key=lambda c: (-len(c), min(key_sort_key(keys[i]) for i in c)))
 
 
 class DropEdge(NamedTuple):
@@ -404,10 +408,21 @@ class DropAuditReport:
 
     def to_json(self) -> dict:
         """The report as JSON data.  Each distinct key's JSON object is built
-        once and shared by every edge that names it, so the data must not be
-        mutated in place."""
+        once and shared by every edge that names it, and equal rows share one
+        list between those objects, so the data must not be mutated in
+        place."""
         edges_all = self.violations + self.drops + self.unclassified
-        keys = {k: k.to_json() for k in dict.fromkeys(k for e in edges_all for k in (e.source, e.target))}
+        rows: dict[tuple[int, ...], list[int]] = {}
+
+        def key_json(k: TabKey) -> dict:
+            shift = []
+            for row in reversed(k.shift.rows):  # top down, as Shift.to_json
+                if row not in rows:
+                    rows[row] = list(row)
+                shift.append(rows[row])
+            return {"shift": shift, "kind": k.kind.value}
+
+        keys = {k: key_json(k) for k in dict.fromkeys(k for e in edges_all for k in (e.source, e.target))}
 
         def edges(kept: list[DropEdge]) -> list[dict]:
             return [
@@ -509,26 +524,27 @@ def irreducibility_verdict(v: BaseVector, win: Window) -> Verdict:
     """
     singular_triple(v)
     pairs = v.integral_pairs
-    graph = reach_scan(v, win.keys(v))[0]
-    interior = [k for k in graph if win.is_interior(k.shift)]
+    keys = win.keys(v)
+    succ = reach_scan(v, keys)[0]
+    interior = [i for i, k in enumerate(keys) if win.is_interior(k.shift)]
     if not pairs:
-        closure = reach_closure(graph, basis_key(v, win.center))
+        closure = set(reach_closure(succ, keys.index(basis_key(v, win.center))))
         return Verdict(
             status="irreducible",
             neighbor_integral_pairs=(),
             interior_covered=set(interior) <= closure,
             closure_size=len(closure),
-            window_size=len(graph),
+            window_size=len(keys),
         )
-    witness = min(graph, key=lambda k: (-len(omega_plus(v, k)), k.shift.rows))
-    closure = reach_closure(graph, witness)
-    omitted = sorted((k for k in interior if k not in closure), key=key_sort_key)
+    witness = min(keys, key=lambda k: (-len(omega_plus(v, k)), k.shift.rows))
+    closure = set(reach_closure(succ, keys.index(witness)))
+    omitted = sorted((keys[i] for i in interior if i not in closure), key=key_sort_key)
     return Verdict(
         status="reducible",
         neighbor_integral_pairs=pairs,
         witness=witness.shift,
         witness_omega_size=len(omega_plus(v, witness)),
         closure_size=len(closure),
-        window_size=len(graph),
+        window_size=len(keys),
         omitted_interior=tuple(omitted),
     )

@@ -166,11 +166,11 @@ def test_criterion_6_omega_drop_bound(v_gen3_chain, v_rem, win3):
 def test_criterion_7_subquotient_bases(v_gen3_chain, v_rem, win3):
     # generic: closure equals the predicted submodule basis on the interior
     keys = win3.keys(v_gen3_chain)
-    graph = reach_scan(v_gen3_chain, keys)[0]
+    succ = reach_scan(v_gen3_chain, keys)[0]
     classes = omega_classes(v_gen3_chain, keys)
-    interior = [k for k in graph if win3.is_interior(k.shift)]
+    interior = [k for k in keys if win3.is_interior(k.shift)]
     for key in interior:
-        closure = reach_closure(graph, key)
+        closure = [keys[i] for i in reach_closure(succ, keys.index(key))]
         cl_int = {t for t in closure if win3.is_interior(t.shift)}
         om = omega_plus(v_gen3_chain, key)
         n_int = {t for c, members in classes.items() if om <= c for t in members if win3.is_interior(t.shift)}
@@ -179,10 +179,10 @@ def test_criterion_7_subquotient_bases(v_gen3_chain, v_rem, win3):
     # singular satisfying the restricted-basis hypothesis: interior classes
     # are strongly connected
     keys_s = win3.keys(v_rem)
-    graph_s = reach_scan(v_rem, keys_s)[0]
-    interior_s = [k for k in graph_s if win3.is_interior(k.shift)]
+    succ_s = reach_scan(v_rem, keys_s)[0]
+    interior_s = [k for k in keys_s if win3.is_interior(k.shift)]
     classes_s = omega_classes(v_rem, interior_s)
-    closures = {k: reach_closure(graph_s, k) for k in interior_s}
+    closures = {k: {keys_s[i] for i in reach_closure(succ_s, keys_s.index(k))} for k in interior_s}
     for members in classes_s.values():
         for k1 in members:
             for k2 in members:
@@ -236,10 +236,11 @@ def test_criterion_8_irreducibility_verdicts(win3):
         verdict = irreducibility_verdict(v, win3)
         assert verdict.status == "irreducible"
         assert verdict.neighbor_integral_pairs == ()
-        graph = reach_scan(v, win3.keys(v))[0]
-        interior = [k for k in graph if win3.is_interior(k.shift)]
+        keys = win3.keys(v)
+        succ = reach_scan(v, keys)[0]
+        interior = [k for k in keys if win3.is_interior(k.shift)]
         for key in interior:
-            closure = reach_closure(graph, key)
+            closure = {keys[i] for i in reach_closure(succ, keys.index(key))}
             assert set(interior) <= closure
     # the audited omission sits past the alignment locus, so the reducible
     # direction is checked on a window wide enough to contain it

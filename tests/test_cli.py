@@ -260,10 +260,17 @@ class TestEmptyField:
             (["generic", *ANCHORS, "--assignment", "0,1,2;3,4;5", "--offsets", "0,0,0;0,,0;0"], "--offsets"),
             (["generic", "--anchors", "1/2,,1/5,1/7,1/11,1/13", "--assignment", "0,1,2;3,4;5"], "--anchors"),
             (["generic", "--anchors", "1/2,1/3,1/5,1/7,1/11,1/13,", "--assignment", "0,1,2;3,4;5"], "--anchors"),
+            # a flag given an empty value is read, not taken as left out
+            (["verdict", "--radius", "1", "--base-vector", ""], "--base-vector"),
+            (["generic", "--anchors", "", "--assignment", "0,1,2;3,4;5"], "--anchors"),
+            (["generic", *ANCHORS, "--assignment", ""], "--assignment"),
+            (["generic", *ANCHORS, "--assignment", "0,1,2;3,4;5", "--offsets", ""], "--offsets"),
+            (["structure", "--base-vector", REMARK_JSON, "--radius", "1", "--center", ""], "--center"),
         ],
         ids=["key", "center-inner", "center-trailing", "weight", "top-row", "weight-empty", "top-row-empty",
              "apply", "apply-shift",
-             "assignment", "offsets", "anchors-inner", "anchors-trailing"],
+             "assignment", "offsets", "anchors-inner", "anchors-trailing",
+             "base-vector-empty", "anchors-empty", "assignment-empty", "offsets-empty", "center-empty"],
     )
     def test_empty_field_exit_2(self, capsys, argv, flag):
         code = main(argv)

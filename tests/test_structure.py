@@ -28,11 +28,24 @@ from gtmodules.structure import (
 from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize
 
 from helpers import tau
+from reach_oracle import key_closure, key_components, key_graph
 
 
 def reach_graph(v, win):
-    """The reach graph on every key of the window, without the drop audit."""
-    return reach_scan(v, win.keys(v))[0]
+    """The window keys and the reach graph on their positions, without the
+    drop audit."""
+    keys = win.keys(v)
+    return keys, reach_scan(v, keys)[0]
+
+
+def closure_keys(keys, succ, key):
+    """The closure from a window key, as the set of keys it reaches."""
+    return {keys[i] for i in reach_closure(succ, keys.index(key))}
+
+
+def component_keys(keys, succ):
+    """The components in their order, each as a set of keys."""
+    return [frozenset(keys[i] for i in c) for c in reach_components(succ, keys)]
 
 
 def shift3(rows):
@@ -294,12 +307,12 @@ class TestReachability:
     def test_derivative_reaches_regular_partner(self, v_rem, win3):
         # the recentred level-(k,2) element maps each derivative tableau onto
         # its regular partner whenever the label is not swap-fixed
-        graph = reach_graph(v_rem, win3)
-        for key in graph:
+        keys, succ = reach_graph(v_rem, win3)
+        for key, targets in zip(keys, succ):
             if key.kind is not Kind.DERIVATIVE:
                 continue
             partner = TabKey(tau(v_rem, key.shift), Kind.REGULAR)
-            assert partner in graph[key]
+            assert partner in [keys[i] for i in targets]
 
     def test_diagonal_only_self_loops(self, v_rem, win3_r1):
         key = basis_key(v_rem, Shift.zero(3))
@@ -311,9 +324,10 @@ class TestReachability:
         # generic keys, and regular and derivative one-singular keys, whose
         # C(k,2) edge recentres at the source and so annihilates it
         v = request.getfixturevalue(vector)
-        graph = reach_graph(v, win3_r1)
+        keys, succ = reach_graph(v, win3_r1)
         beyond_e = set()
-        for key, targets in graph.items():
+        for key, positions in zip(keys, succ):
+            targets = [keys[i] for i in positions]
             assert key not in targets
             by_e = {t for a, b in ((1, 2), (2, 1), (2, 3), (3, 2)) for t in act_e(v, a, b, key).support()}
             beyond_e.update(t for t in targets if t not in by_e)
@@ -321,32 +335,33 @@ class TestReachability:
         assert bool(beyond_e) == (vector == "v_rem")
 
     def test_generic_edges_match_action_support(self, v_gen3, win3_r1):
-        graph = reach_graph(v_gen3, win3_r1)
-        for key in win3_r1.keys(v_gen3)[:9]:
+        keys, succ = reach_graph(v_gen3, win3_r1)
+        for key, targets in zip(keys[:9], succ):
             expected = set()
             for r in range(1, 3):
                 for (a, b) in ((r, r + 1), (r + 1, r)):
                     for t in act_e(v_gen3, a, b, key).support():
                         if old_contains(win3_r1, t.shift):
                             expected.add(t)
-            assert set(graph[key]) == expected
+            assert {keys[i] for i in targets} == expected
 
     def test_closure_reflexive_and_transitive(self, v_rem, win3_r1):
         key = basis_key(v_rem, Shift.zero(3))
-        graph = reach_graph(v_rem, win3_r1)
-        closure = reach_closure(graph, key)
+        keys, succ = reach_graph(v_rem, win3_r1)
+        reached = reach_closure(succ, keys.index(key))
+        closure = {keys[i] for i in reached}
         assert key in closure
-        for mid in list(closure)[:6]:
-            assert reach_closure(graph, mid) <= closure
+        for mid in reached[:6]:
+            assert closure_keys(keys, succ, keys[mid]) <= closure
 
     def test_generic_class_strongly_connected(self, v_gen3_chain, win3):
         # inside an equality class fully interior to the window, every member
         # reaches every other
         interior = [k for k in win3.keys(v_gen3_chain) if win3.is_interior(k.shift)]
         members = max(omega_classes(v_gen3_chain, interior).values(), key=len)
-        graph = reach_graph(v_gen3_chain, win3)
+        keys, succ = reach_graph(v_gen3_chain, win3)
         for k1 in members[:4]:
-            closure = reach_closure(graph, k1)
+            closure = closure_keys(keys, succ, k1)
             assert all(k2 in closure for k2 in members)
 
 
@@ -366,6 +381,37 @@ def act_e_reach_edges(v, key, win):
             if old_contains(win, tkey.shift) and tkey not in edges:
                 edges[tkey] = f"C({k},2)"
     return edges
+
+
+class TestPositionRoute:
+    """The position-indexed closure and components against the key-dict
+    walks of the oracle, on a graph built by the act_e route."""
+
+    WINDOWS = {
+        "v_rem": Window(center=Shift.zero(3), radius=2),
+        "v_gen3_chain": Window(center=Shift.zero(3), radius=2),
+        "v_sing_irr": Window(center=Shift.zero(3), radius=2),
+        "v_sing4": Window(center=Shift.zero(4), radius=1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WINDOWS))
+    def test_matches_the_key_dict_route(self, request, case):
+        v = request.getfixturevalue(case)
+        win = self.WINDOWS[case]
+        keys, succ = reach_graph(v, win)
+        graph = {key: list(act_e_reach_edges(v, key, win)) for key in keys}
+        assert key_graph(succ, keys) == graph
+        if v.n == 4:  # the C(k,2) edges of derivative keys are walked too
+            assert any(key.kind is Kind.DERIVATIVE for key in keys)
+        stride = 1 if v.n == 3 else 8  # a sample of the 729 gl(4) sources
+        for i, key in list(enumerate(keys))[::stride]:
+            reached = reach_closure(succ, i)
+            assert reached[0] == i and len(set(reached)) == len(reached)
+            assert {keys[j] for j in reached} == key_closure(graph, key)
+        comps = reach_components(succ, keys)
+        assert sorted(j for c in comps for j in c) == list(range(len(keys)))
+        # the same partition, in the same order
+        assert [frozenset(keys[j] for j in c) for c in comps] == key_components(graph)
 
 
 def omega_drop_audit(v, keys):
@@ -428,12 +474,15 @@ class TestOnePass:
         v = request.getfixturevalue(case.split("-")[0])
         win = self.WINDOWS[case]
         keys = win.keys(v)
-        graph, report = reach_scan(v, keys, audit=True)
-        assert list(graph) == keys
-        for key in keys:
-            assert graph[key] == list(act_e_reach_edges(v, key, win))
+        succ, report = reach_scan(v, keys, audit=True)
+        assert len(succ) == len(keys)
+        for key, targets in zip(keys, succ):
+            assert [keys[i] for i in targets] == list(act_e_reach_edges(v, key, win))
+        assert all(0 <= i < len(keys) for targets in succ for i in targets)
+        # audited edges name the window's own key objects, inside the window
         own = {key: key for key in keys}
-        assert all(own[t] is t for targets in graph.values() for t in targets)
+        edges = report.violations + report.drops + report.unclassified
+        assert all(own[e.source] is e.source and own.get(e.target, e.target) is e.target for e in edges)
         # the same vector, count and edge lists, in order
         assert vars(report) == vars(omega_drop_audit(v, keys))
 
@@ -502,6 +551,12 @@ class TestDropAudit:
                 assert shared.setdefault(key, obj) is obj
         assert len(shared) == len({k for e in report.drops for k in (e.source, e.target)}) > 0
         assert len({id(obj) for obj in shared.values()}) == len(shared)
+        # and one list per distinct row, shared by every key object holding it
+        rows = {}
+        for obj in shared.values():
+            for row in obj["shift"]:
+                assert rows.setdefault(tuple(row), row) is row
+        assert len(rows) < sum(len(obj["shift"]) for obj in shared.values())
 
     def test_to_json_of_every_list_matches_the_per_edge_bodies(self, v_rem):
         report = fabricated_audit(v_rem)
@@ -518,7 +573,7 @@ class TestDropAudit:
         from gtmodules import checks
 
         report = fabricated_audit(v_rem)
-        monkeypatch.setattr(checks, "reach_scan", lambda v, keys, audit: ({}, report))
+        monkeypatch.setattr(checks, "reach_scan", lambda v, keys, audit: ([], report))
         v = v_rem if family is Family.ONE_SINGULAR else BaseVector.from_rows(
             [["1/2", "1/3", "1/5"], ["1/7", "1/11"], ["1/13"]]
         )
@@ -746,16 +801,16 @@ class TestTopPartLemma:
         )
         assert len(same_top) == 27
         probe = same_top[::7]
-        graph = reach_graph(v_sing4, win)
+        keys, succ = reach_graph(v_sing4, win)
         for k1 in probe:
-            closure = reach_closure(graph, k1)
+            closure = closure_keys(keys, succ, k1)
             for k2 in probe:
                 assert k2 in closure
 
 
 class TestReachComponents:
     def test_single_interior_component_when_clean(self, v_sing_irr, win3):
-        comps = reach_components(reach_graph(v_sing_irr, win3))
+        comps = component_keys(*reach_graph(v_sing_irr, win3))
         interior = set(k for k in win3.keys(v_sing_irr) if win3.is_interior(k.shift))
         int_comps = [c & interior for c in comps if c & interior]
         assert len(int_comps) == 1 and len(int_comps[0]) == len(interior)
@@ -764,7 +819,7 @@ class TestReachComponents:
         # mutual generation can merge distinct restricted classes (a
         # derivative-boundary round trip links them both ways), but never
         # splits one: each class sits inside a single component
-        comps = reach_components(reach_graph(v_rem, win3))
+        comps = component_keys(*reach_graph(v_rem, win3))
         interior = [k for k in win3.keys(v_rem) if win3.is_interior(k.shift)]
         int_comps = [c for c in comps]
         for members in omega_classes(v_rem, interior).values():
@@ -776,7 +831,7 @@ class TestReachComponents:
         # the generated submodule covers exactly one interior component; the
         # other is only upstream of it and survives in the quotient
         verdict = irreducibility_verdict(v_rem, win3)
-        comps = reach_components(reach_graph(v_rem, win3))
+        comps = component_keys(*reach_graph(v_rem, win3))
         interior = set(k for k in win3.keys(v_rem) if win3.is_interior(k.shift))
         witness_key = basis_key(v_rem, verdict.witness)
         containing = next(c for c in comps if witness_key in c)
