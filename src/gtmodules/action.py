@@ -200,26 +200,22 @@ def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int,
     singular = family is Family.ONE_SINGULAR
     z = key.shift
     row, direction = _summand_spec(r, s)
-    raw = []
     for s0 in range(1, row + 1):
         target = z.bump(row, s0, direction)
         jet = coeff_e(v, r, s, s0, z)
         if not singular:  # undeformed: the jet is the constant coeffs[0]
-            raw.append((s0, Kind.REGULAR, target, jet.coeffs[0]))
+            coeff = jet.coeffs[0]
+            if coeff and (family is not Family.FINITE_STANDARD or is_standard(v, target)):
+                yield s0, Kind.REGULAR, TabKey(target, Kind.REGULAR), coeff
             continue
         if key.kind is Kind.REGULAR:  # times 2t
             jet = Jet(jet.order + 1, tuple(2 * c for c in jet.coeffs))
         value, half = rf_d_pair(jet)
-        raw += [(s0, Kind.REGULAR, target, half), (s0, Kind.DERIVATIVE, target, value)]
-    for s0, kind, target, coeff in raw:
-        if not coeff:
-            continue
-        if singular:
-            tkey, sg = canonicalize(v, kind, target)
-            if sg:
-                yield s0, kind, tkey, -coeff if sg < 0 else coeff
-        elif family is not Family.FINITE_STANDARD or is_standard(v, target):
-            yield s0, kind, TabKey(target, kind), coeff
+        for kind, coeff in ((Kind.REGULAR, half), (Kind.DERIVATIVE, value)):
+            if coeff:
+                tkey, sg = canonicalize(v, kind, target)
+                if sg:
+                    yield s0, kind, tkey, -coeff if sg < 0 else coeff
 
 
 def _check_key(v: BaseVector, key: TabKey) -> None:
@@ -251,30 +247,31 @@ def act_e(v: BaseVector, r: int, s: int, key: TabKey) -> ModVec:
 
 
 def _apply_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
-    """E_ij on one key.  The diagonal E_ii is the weight times the key,
-    written through its canonical label and sign; act_e holds |i-j| = 1,
-    and nothing else is cached."""
+    """E_ij, |i-j| <= 1, on one key.  The diagonal E_ii is the weight times
+    the key, written through its canonical label and sign; act_e holds
+    |i-j| = 1, and nothing else is cached."""
     if i == j:
         _check_key(v, key)
         tkey, sg = canonicalize(v, key.kind, key.shift)
         return ModVec.single(_label(v, tkey), sg * weight_eigenvalue(v, i, key.shift))
-    return act_e(v, i, j, key) if abs(i - j) == 1 else _apply_e_key(v, i, j, key)
+    return act_e(v, i, j, key)
 
 
 @lru_cache(maxsize=0)
-def _apply_e_key(v: BaseVector, i: int, j: int, key: TabKey) -> ModVec:
-    """E_ij on one key for |i-j| >= 2 by the nested commutator route:
+def _apply_e_key(v: BaseVector, i: int, j: int, vec: ModVec) -> ModVec:
+    """E_ij on a whole vector for |i-j| >= 2 by the nested commutator route:
     E_ij = [E_iq, E_qj] with q between i and j.  The choice q = min + 1 is
     fixed for determinism; independence of the choice is property-tested,
-    not assumed.  Each call folds cached act_e results again: maxsize=0
-    stores and hashes nothing and counts every call as a miss."""
+    not assumed.  Each inner result is one folded vector before the next
+    generator acts on it.  maxsize=0 stores and hashes nothing and counts
+    every fold as a miss."""
     q = min(i, j) + 1
-    first = _apply_vec(v, q, j, _apply_key(v, i, q, key))
-    second = _apply_vec(v, i, q, _apply_key(v, q, j, key))
-    return second - first
+    return _apply_vec(v, i, q, _apply_vec(v, q, j, vec)) - _apply_vec(v, q, j, _apply_vec(v, i, q, vec))
 
 
 def _apply_vec(v: BaseVector, i: int, j: int, vec: ModVec) -> ModVec:
+    if abs(i - j) >= 2:
+        return _apply_e_key(v, i, j, vec)
     return ModVec((key2, c * c2) for key, c in vec.items() for key2, c2 in _apply_key(v, i, j, key).items())
 
 

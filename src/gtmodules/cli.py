@@ -303,11 +303,11 @@ def cmd_structure(args) -> tuple[dict, int]:
     else:
         key = basis_key(v, win.center)
     keys = win.keys(v)
-    succ, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)
     try:
         focus = keys.index(key)
     except ValueError:
         raise InputError("--key is not a basis key of the window") from None
+    succ, audit = reach_scan(v, keys, audit=fam is Family.ONE_SINGULAR)
     report: dict = {
         "command": "structure",
         "base_vector": v.to_json(),

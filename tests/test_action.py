@@ -256,10 +256,13 @@ class TestGeneralE:
                 assert lhs == rhs
 
     def test_intermediate_choice_immaterial(self, v_sing4):
-        # route through q = min + 1 against the route through q = max - 1
-        for rows in [[(0,), (0, 0), (0, 0, 0)], [(1,), (2, 0), (0, -1, 0)]]:
+        # route through q = min + 1 against the route through q = max - 1,
+        # on single keys, their sum and E(4,1)E(1,4) of a key
+        ones = [single(4, rows) for rows in [[(0,), (0, 0), (0, 0, 0)], [(1,), (2, 0), (0, -1, 0)]]]
+        vecs = [*ones, ones[0] + ones[1], apply_e(v_sing4, 4, 1, apply_e(v_sing4, 1, 4, ones[1]))]
+        assert len(vecs[-1]) > 1
+        for vec in vecs:
             for (a, b) in [(1, 4), (4, 1), (1, 3), (3, 1), (2, 4), (4, 2)]:
-                vec = single(4, rows)
                 fixed = apply_e(v_sing4, a, b, vec)
                 q = max(a, b) - 1
                 other = apply_e(v_sing4, a, q, apply_e(v_sing4, q, b, vec)) - apply_e(
@@ -269,6 +272,73 @@ class TestGeneralE:
 
     def test_zero_vector_maps_to_zero(self, v_gen3):
         assert apply_e(v_gen3, 1, 3, ModVec()).is_zero
+
+
+def per_key_e(v, i, j, key):
+    """E_ij on one key as the per-key commutator route built it before deep
+    generators acted on whole vectors: E(i,q) and E(q,j) on the key alone,
+    then each other generator on every term, summed key by key."""
+    if abs(i - j) <= 1:
+        return _apply_key(v, i, j, key)
+    q = min(i, j) + 1
+    first = per_key_vec(v, q, j, per_key_e(v, i, q, key))
+    second = per_key_vec(v, i, q, per_key_e(v, q, j, key))
+    return second - first
+
+
+def per_key_vec(v, i, j, vec):
+    return ModVec((k2, c * c2) for k, c in vec.items() for k2, c2 in per_key_e(v, i, j, k).items())
+
+
+DEEP = [(1, 3), (3, 1), (2, 4), (4, 2), (1, 4), (4, 1)]
+
+
+class TestVectorFold:
+    """Deep generators E_ij, |i-j| >= 2, fold whole vectors; the per-key
+    commutator route is the oracle."""
+
+    @pytest.mark.parametrize("vector", ["v_sing4_rem", "v_sing4_row3", "v_gen4_chain"])
+    def test_single_keys_match_the_per_key_route(self, request, vector):
+        v = request.getfixturevalue(vector)
+        keys = Window(center=Shift.zero(4), radius=1, margin=1).keys(v)[::53]
+        assert len(keys) == 14
+        for k in keys:
+            for i, j in DEEP:
+                assert apply_e(v, i, j, ModVec.single(k)) == per_key_e(v, i, j, k), (k, i, j)
+
+    @pytest.mark.parametrize("vector", ["v_sing4_rem", "v_sing4_row3", "v_gen4_chain"])
+    def test_multi_key_vectors_match_the_per_key_route(self, request, vector):
+        v = request.getfixturevalue(vector)
+        keys = Window(center=Shift.zero(4), radius=1, margin=1).keys(v)[::91]
+        cancelled = 0
+        for k in keys:
+            one = ModVec.single(k)
+            vecs = [apply_e(v, 4, 1, apply_e(v, 1, 4, one)), apply_e(v, 2, 4, apply_e(v, 4, 2, one))]
+            for i, j in DEEP:
+                vec = cancelling_pair(v, i, j, k)
+                if vec is not None:
+                    vecs.append(vec)
+                    cancelled += 1
+            for vec in vecs:
+                assert len(vec) > 1
+                for i, j in DEEP:
+                    assert apply_e(v, i, j, vec) == per_key_vec(v, i, j, vec), (k, i, j)
+        assert cancelled > 0
+
+
+def cancelling_pair(v, i, j, k):
+    """c2 k - c1 k2 for a second key k2 whose E_ij image shares a target t
+    with that of k, with c1, c2 the coefficients of t in the two images, so
+    that t cancels in E_ij of the vector; None if no such key turns up."""
+    image = per_key_e(v, i, j, k)
+    for t, c1 in image.items():
+        for k2 in apply_e(v, j, i, ModVec.single(t)).support():
+            c2 = per_key_e(v, i, j, k2).coeff(t)
+            if k2 != k and c2:
+                vec = ModVec.single(k, c2) - ModVec.single(k2, c1)
+                assert not apply_e(v, i, j, vec).coeff(t)
+                return vec
+    return None
 
 
 class TestClassicalRegion:

@@ -3,10 +3,11 @@
 ``perfbench/run.py --trace 1`` rebinds library functions by name and reads
 the memo caches, so a change in ``src/`` can break it without breaking any
 library test.  One traced op of the cheapest structure workload (about 2 s)
-and one of the verify workload, the only one that runs ``act_e`` and
-``_apply_e_key`` whose ``cache_info()`` the trace reads (about 1 s), show it
-still runs and still passes its correctness gate.  The verify op's counts
-also pin which generator results the caches hold.
+and one of the verify workload, the only one that runs ``act_e`` and the
+vector-level commutator fold ``_apply_e_key`` whose ``cache_info()`` the
+trace reads (about 1 s), show it still runs and still passes its correctness
+gate.  The verify op's counts also pin which generator results the caches
+hold.
 """
 
 import json
@@ -19,8 +20,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # Counts the trace reads on the seed-0 verify op, which pin the memo policy:
-# act_e holds the 1,011 adjacent results, _apply_e_key holds no commutator
-# (so none is ever a hit), and the caches end with those, 328 labels and 58
+# act_e holds the 1,011 adjacent results, _apply_e_key folds each commutator
+# on a whole vector and holds none (its misses count the 750 folds, so none
+# is ever a hit), and the caches end with those, 328 labels and 58
 # eigenvalue pairs.
 MEMO_POLICY = {
     "generic4-structure": {},

@@ -10,6 +10,8 @@ import pytest
 
 import gtmodules.checks as checks
 from gtmodules.checks import _bracket, _relation_cases, check_relations
+from gtmodules.structure import Window
+from gtmodules.tableau import Shift
 
 
 def old_relation_cases(n: int):
@@ -86,3 +88,21 @@ def test_generator_applications_unchanged(monkeypatch, v_rem, win3_r1):
     assert check_relations(v_rem, keys) == []
     per_key = sum(4 + len(expected) for _, _, expected in old_relation_cases(3))
     assert len(calls) == len(keys) * per_key == 3294
+
+
+
+@pytest.mark.parametrize("vector,stride", [("v_rem", 1), ("v_sing4_rem", 61)], ids=["gl3", "gl4"])
+def test_negated_deep_generator_fails_the_suite(request, monkeypatch, vector, stride):
+    # a planted defect: E_ij, |i-j| >= 2, folds to minus its commutator
+    from gtmodules import action
+
+    v = request.getfixturevalue(vector)
+    keys = Window(center=Shift.zero(v.n), radius=1, margin=1).keys(v)[::stride]
+    assert check_relations(v, keys) == []
+    unplanted = action._apply_e_key
+    monkeypatch.setattr(action, "_apply_e_key", lambda v, i, j, vec: unplanted(v, i, j, vec).scale(-1))
+    failed = check_relations(v, keys)
+    # every key fails; on gl(3), [E12, E23] = E13 and [E32, E21] = E31 on each
+    assert len({str(f["key"]) for f in failed}) == len(keys)
+    if v.n == 3:
+        assert len(keys) == 27 and len(failed) == 54
