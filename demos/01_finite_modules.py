@@ -6,8 +6,7 @@ subalgebra eigenvalues against the brute-force tuple sum.
 """
 
 from gtmodules.action import ModVec, act_gamma, apply_casimir_pbw, apply_e
-from gtmodules.cli import _enumerate_standard
-from gtmodules.tableau import BaseVector, Kind, TabKey
+from gtmodules.tableau import BaseVector, Kind, TabKey, standard_shifts
 
 
 def main():
@@ -15,7 +14,7 @@ def main():
     v = BaseVector.from_weight(weight)
     print(f"highest weight {weight} -> top row {[str(x) for x in v.top_row()]}")
 
-    shifts = _enumerate_standard(v)
+    shifts = standard_shifts(v)
     print(f"standard tableaux: {len(shifts)}")
     for w in shifts:
         print("   rows (top down):", w.to_json())

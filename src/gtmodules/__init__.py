@@ -17,6 +17,7 @@ from .tableau import (
     canonicalize,
     is_standard,
     singular_triple,
+    standard_shifts,
 )
 from .action import (
     ModVec,

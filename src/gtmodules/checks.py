@@ -34,31 +34,34 @@ def commutator(v: BaseVector, g1: tuple[int, int], g2: tuple[int, int], vec: Mod
 
 
 def _relation_cases(n: int):
-    """The generator pairs (g1, g2) whose brackets are checked."""
+    """The generator pairs (g1, g2) whose brackets are checked: each
+    unordered pair once and no [g, g], which can fail only with a kept case;
+    and E_ij, E_ji, j - i >= 3, split at j - 1, a second route beside the
+    split at i + 1 that apply_e builds them by."""
     raise_ = lambda r: (r, r + 1)
     lower = lambda r: (r + 1, r)
     diag = lambda r: (r, r)
     for r in range(1, n):
         for s in range(1, n):
             yield raise_(r), lower(s)
-            if abs(r - s) >= 2 or s == r + 1:
+            if s > r:
                 yield raise_(r), raise_(s)
                 yield lower(r), lower(s)
     for r in range(1, n + 1):
         for s in range(1, n):
             yield diag(r), raise_(s)
             yield diag(r), lower(s)
-        for s in range(1, n + 1):
+        for s in range(r + 1, n + 1):
             yield diag(r), diag(s)
+    for i in range(1, n - 2):
+        for j in range(i + 3, n + 1):
+            yield (i, j - 1), (j - 1, j)
+            yield (j, j - 1), (j - 1, i)
 
 
 def _bracket(g1: tuple[int, int], g2: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj as (coeff, label) terms.
-    The two terms cancel only in [E_rr, E_rr], which gets no terms, so no
-    generator is applied for it."""
+    """[E_ij, E_kl] = delta_jk E_il - delta_li E_kj as (coeff, label) terms."""
     (i, j), (k, l) = g1, g2
-    if g1 == g2:
-        return []
     return [(1, (i, l))] * (j == k) + [(-1, (k, j))] * (l == i)
 
 

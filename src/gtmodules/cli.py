@@ -29,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, product
+from itertools import chain
 
 from . import checks
 from .action import ModVec, NotStandard, _check_key, _clear_memo_caches, _label, act_gamma, apply_e
@@ -56,6 +56,7 @@ from .tableau import (
     TabKey,
     canonicalize,
     singular_triple,
+    standard_shifts,
 )
 
 
@@ -156,39 +157,6 @@ def _window(args, n: int) -> Window:
     return Window(center=center, radius=args.radius, margin=margin)
 
 
-def _enumerate_standard(v: BaseVector) -> list[Shift]:
-    """All shifts whose tableau is standard, for an all-integral vector with
-    dominant top row.
-
-    Rows are filled from the top down; each entry of the next row ranges
-    over the integers strictly above its down-right neighbor and at most its
-    down-left neighbor, which is exactly the interlacing condition.  The
-    lower rows of the base vector are zero, so enumerated rows are shifts.
-    """
-    n = v.n
-    top = [int(v.entry(n, s)) for s in range(1, n + 1)]
-    if any(top[idx] - top[idx + 1] < 1 for idx in range(n - 1)):
-        raise InputError("top row is not dominant (must be strictly decreasing)")
-    complete: list[list[tuple[int, ...]]] = []
-
-    def rec(rows_desc: list[tuple[int, ...]]):
-        upper = rows_desc[-1]
-        m = len(upper) - 1
-        if m == 0:
-            complete.append(rows_desc)
-            return
-        choices = [range(upper[idx + 1] + 1, upper[idx] + 1) for idx in range(m)]
-        for combo in product(*choices):
-            rec(rows_desc + [tuple(combo)])
-
-    rec([tuple(top)])
-    shifts = []
-    for rows_desc in complete:
-        lower = list(reversed(rows_desc[1:]))  # rows 1..n-1 ascending
-        shifts.append(Shift(n, tuple(tuple(x) for x in lower)))
-    return sorted(shifts, key=lambda w: w.rows)
-
-
 def cmd_finite(args) -> tuple[dict, int]:
     if args.weight is not None and args.top_row is not None:
         raise InputError("--weight conflicts with --top-row; give one or the other")
@@ -200,7 +168,9 @@ def cmd_finite(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(f"{flag} {text!r}: {exc}") from None
     v = BaseVector.from_weight(entries) if flag == "--weight" else BaseVector.finite(entries)
-    shifts = _enumerate_standard(v)
+    shifts = standard_shifts(v)
+    if not shifts:
+        raise InputError("top row is not dominant (must be strictly decreasing)")
     report = {
         "command": "finite",
         "base_vector": v.to_json(),

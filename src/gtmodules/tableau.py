@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .ratcalc import parse_rat
@@ -36,6 +37,7 @@ __all__ = [
     "BaseVector",
     "singular_triple",
     "is_standard",
+    "standard_shifts",
     "canonicalize",
 ]
 
@@ -387,6 +389,29 @@ def is_standard(v: BaseVector, w: Shift) -> bool:
             if d2 is None or d2 <= 0:
                 return False
     return True
+
+
+def standard_shifts(v: BaseVector) -> list[Shift]:
+    """Every shift whose tableau is standard, sorted by rows, for a
+    finite-family vector; none when the top row is not strictly decreasing.
+
+    Rows are filled from the top down, each entry strictly above its
+    down-right neighbor and at most its down-left one: exactly the
+    interlacing condition.  All entries share one anchor, so the offsets
+    interlace as the entries do.
+    """
+    if v.classification.family is not Family.FINITE_STANDARD:
+        raise ValueError("standard shifts are enumerated only in the finite family")
+    patterns = [(v.offsets[-1],)]  # offset rows, top down
+    for _ in range(v.n - 1):
+        patterns = [
+            p + (row,) for p in patterns for row in product(*(range(b + 1, a + 1) for a, b in zip(p[-1], p[-1][1:])))
+        ]
+    shifts = [
+        Shift(v.n, tuple(tuple(x - o for x, o in zip(row, base)) for row, base in zip(p[:0:-1], v.offsets)))
+        for p in patterns
+    ]
+    return sorted(shifts, key=lambda w: w.rows)
 
 
 def canonicalize(v: BaseVector, kind: Kind, w: Shift) -> tuple[TabKey, int]:

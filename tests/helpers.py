@@ -12,3 +12,17 @@ def tau(v: BaseVector, w: Shift) -> Shift:
 def anchor_index(v: BaseVector, r: int, s: int) -> int:
     """The anchor carried by position (r, s)."""
     return v.assignment[r - 1][s - 1]
+
+
+def weyl_dimension(weight) -> int:
+    """Independent oracle: product formula over positive roots."""
+    lam = list(weight)
+    n = len(lam)
+    num = 1
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den

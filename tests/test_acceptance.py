@@ -19,7 +19,6 @@ from gtmodules.checks import (
     check_relations,
     check_separation,
 )
-from gtmodules.cli import _enumerate_standard
 from gtmodules.structure import (
     Window,
     basis_key,
@@ -30,27 +29,13 @@ from gtmodules.structure import (
     reach_closure,
     reach_scan,
 )
-from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize
+from gtmodules.tableau import BaseVector, Kind, Shift, TabKey, canonicalize, standard_shifts
 
-from helpers import tau
+from helpers import tau, weyl_dimension
 
 
 def report(line: str):
     print(f"\nACCEPTANCE {line}")
-
-
-def weyl_dimension(weight) -> int:
-    """Independent oracle: product formula over positive roots."""
-    lam = list(weight)
-    n = len(lam)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    assert num % den == 0
-    return num // den
 
 
 def test_criterion_1_finite_correctness():
@@ -58,7 +43,7 @@ def test_criterion_1_finite_correctness():
     cases = [([1, 0], 2), ([1, 0, 0], 3), ([1, 1, 0], 3), ([2, 1, 0], 8)]
     for weight, expected in cases:
         v = BaseVector.from_weight(weight)
-        shifts = _enumerate_standard(v)
+        shifts = standard_shifts(v)
         assert len(shifts) == expected
         assert len(shifts) == weyl_dimension(weight)
         keys = [TabKey(w, Kind.REGULAR) for w in shifts]
@@ -75,7 +60,7 @@ def test_criterion_2_casimir_coherence(v_fin3_210, v_gen3, v_rem, win3):
     checked = 0
     for weight in ([1, 0, 0], [1, 1, 0], [2, 1, 0]):
         v = BaseVector.from_weight(weight)
-        keys = [TabKey(w, Kind.REGULAR) for w in _enumerate_standard(v)]
+        keys = [TabKey(w, Kind.REGULAR) for w in standard_shifts(v)]
         assert check_gamma_coherence(v, keys, levels) == []
         checked += len(keys)
     for v in (v_gen3, v_rem):

@@ -67,6 +67,12 @@ class TestFinite:
         assert code == 2
         assert "error" in report
 
+    @pytest.mark.parametrize("argv", [["--weight", "1,2,0"], ["--top-row", "2,2,0"], ["--top-row", "3,1,2,0"]])
+    def test_non_dominant_message(self, capsys, argv):
+        code, report = run_cli(capsys, "finite", *argv)
+        assert code == 2
+        assert report["message"] == "top row is not dominant (must be strictly decreasing)"
+
 
 class TestApplyCommands:
     def test_singular_remark_identity(self, capsys):

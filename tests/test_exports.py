@@ -73,3 +73,29 @@ def test_only_canonicalize_swaps_the_singular_pair():
     assert {name: c for name, c in counts.items() if c} == {"tableau.py": swap_calls(canon[0])}
     constants = [node.value for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Constant)]
     assert constants.count(message) == 1
+
+
+def imports_cli(tree) -> bool:
+    """Whether a module imports gtmodules.cli in any spelling; a relative
+    import is read from inside the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name == "gtmodules.cli" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["gtmodules" if node.level else None, node.module]))
+            if module == "gtmodules.cli" or module == "gtmodules" and any(a.name == "cli" for a in node.names):
+                return True
+    return False
+
+
+def test_library_logic_stays_out_of_the_cli():
+    # the CLI only parses, dispatches and reports: demos and library modules
+    # reach the mathematics without it
+    src = Path(gtmodules.__file__).parent
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    paths = sorted(demos.glob("*.py")) + [p for p in sorted(src.glob("*.py")) if p.name != "cli.py"]
+    assert len(paths) > 4
+    assert [p.name for p in paths if imports_cli(ast.parse(p.read_text(encoding="utf-8")))] == []
+    spellings = ["from gtmodules.cli import main", "from .cli import main", "from . import cli", "import gtmodules.cli"]
+    assert all(imports_cli(ast.parse(text)) for text in spellings)
+    assert not imports_cli(ast.parse("from . import checks\nfrom gtmodules.tableau import Shift"))

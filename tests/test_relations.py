@@ -41,13 +41,36 @@ def old_relation_cases(n: int):
             yield diag(r), diag(s), []
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def once(cases):
+    """The oracle's cases without [g, g] and without the later of each
+    mirrored pair."""
+    seen = set()
+    for g1, g2, expected in cases:
+        if g1 != g2 and frozenset((g1, g2)) not in seen:
+            seen.add(frozenset((g1, g2)))
+            yield g1, g2, expected
+
+
+def deep_splits(n: int):
+    """E_ij and E_ji, j - i >= 3, as brackets split at j - 1."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 3, n + 1)]
+    return {((i, j - 1), (j - 1, j)) for i, j in pairs} | {((j, j - 1), (j - 1, i)) for i, j in pairs}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_formula_gives_the_case_table(n):
-    # same pairs in the same order, and the same terms in the same order, so
-    # the same generators are applied for the expected side
     old = list(old_relation_cases(n))
-    assert list(_relation_cases(n)) == [(g1, g2) for g1, g2, _ in old]
-    assert [_bracket(g1, g2) for g1, g2, _ in old] == [expected for _, _, expected in old]
+    new = list(_relation_cases(n))
+    assert len(set(new)) == len(new)
+    # a mirrored case applies its twin's products and subtracts them the
+    # other way round, and [g, g] is X(Xv) - X(Xv), so neither can fail alone
+    assert all((g1, g2) in new or (g2, g1) in new or g1 == g2 for g1, g2, _ in old)
+    assert all((g2, g1) not in new and g1 != g2 for g1, g2 in new)
+    assert set(new) - {(g1, g2) for g1, g2, _ in old} == deep_splits(n)
+    assert [(g1, g2) for g1, g2 in new if (g1, g2) not in deep_splits(n)] == [(g1, g2) for g1, g2, _ in once(old)]
+    # the structure constants agree with the table wherever it has terms
+    assert [_bracket(g1, g2) for g1, g2, _ in once(old)] == [expected for _, _, expected in once(old)]
+    assert all(_bracket(g1, g2) == [(1, (g1[0], g2[1]))] for g1, g2 in deep_splits(n))
 
 
 def unit(n, label):
@@ -75,7 +98,7 @@ def test_formula_matches_matrix_units(n):
 
 def test_generator_applications_unchanged(monkeypatch, v_rem, win3_r1):
     # four applications per commutator and one per expected term of the
-    # case table; [E_rr, E_rr] applies none
+    # case table once mirrors and [g, g] are gone; gl(3) has no deep split
     calls = []
     apply_e = checks.apply_e
 
@@ -86,9 +109,8 @@ def test_generator_applications_unchanged(monkeypatch, v_rem, win3_r1):
     monkeypatch.setattr(checks, "apply_e", counted)
     keys = win3_r1.keys(v_rem)
     assert check_relations(v_rem, keys) == []
-    per_key = sum(4 + len(expected) for _, _, expected in old_relation_cases(3))
-    assert len(calls) == len(keys) * per_key == 3294
-
+    per_key = sum(4 + len(expected) for _, _, expected in once(old_relation_cases(3)))
+    assert len(calls) == len(keys) * per_key == 2646
 
 
 @pytest.mark.parametrize("vector,stride", [("v_rem", 1), ("v_sing4_rem", 61)], ids=["gl3", "gl4"])
@@ -106,3 +128,23 @@ def test_negated_deep_generator_fails_the_suite(request, monkeypatch, vector, st
     assert len({str(f["key"]) for f in failed}) == len(keys)
     if v.n == 3:
         assert len(keys) == 27 and len(failed) == 54
+
+
+def test_negated_depth_three_generator_fails_the_suite(monkeypatch, v_sing4_rem):
+    # E_14 and E_41 alone negated: every old case still holds, since they
+    # appear on neither side of one, and each deep split now fails
+    from gtmodules import action
+
+    keys = Window(center=Shift.zero(4), radius=1, margin=1).keys(v_sing4_rem)[::61]
+    unplanted = action._apply_e_key
+
+    def planted(v, i, j, vec):
+        out = unplanted(v, i, j, vec)
+        return out.scale(-1) if abs(i - j) == 3 else out
+
+    monkeypatch.setattr(action, "_apply_e_key", planted)
+    failed = check_relations(v_sing4_rem, keys)
+    assert len(keys) == 12 and len(failed) == 24
+    assert {tuple(map(tuple, f["bracket"])) for f in failed} == deep_splits(4)
+    monkeypatch.setattr(checks, "_relation_cases", lambda n: ((g1, g2) for g1, g2, _ in old_relation_cases(n)))
+    assert check_relations(v_sing4_rem, keys) == []

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,10 @@ from gtmodules.tableau import (
     canonicalize,
     is_standard,
     singular_triple,
+    standard_shifts,
 )
 
-from helpers import anchor_index, tau
+from helpers import anchor_index, tau, weyl_dimension
 
 
 class TestClassification:
@@ -87,6 +89,42 @@ class TestStandard:
                 for w22 in range(-2, 3):
                     w = Shift(3, ((w11,), (w21, w22)))
                     assert is_standard(v_fin3_210, w) == is_standard(shifted, w)
+
+
+def box_shifts(v):
+    """Every shift whose entries lie between the top row's extremes."""
+    lo, hi = min(v.offsets[-1]), max(v.offsets[-1])
+    base = [o for row in v.offsets[:-1] for o in row]
+    for flat in product(*(range(lo - o, hi - o + 1) for o in base)):
+        it = iter(flat)
+        yield Shift(v.n, tuple(tuple(next(it) for _ in range(r)) for r in range(1, v.n)))
+
+
+class TestStandardShifts:
+    WEIGHTS = [(1, 0), (3, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)]
+
+    @pytest.mark.parametrize("weight", WEIGHTS, ids=str)
+    def test_brute_force_and_weyl_dimension(self, weight):
+        v = BaseVector.from_weight(weight)
+        shifts = standard_shifts(v)
+        assert shifts == [w for w in box_shifts(v) if is_standard(v, w)]
+        assert len(shifts) == weyl_dimension(weight)
+        assert shifts == sorted(shifts, key=lambda w: w.rows)
+
+    def test_lower_rows_of_the_vector_are_subtracted(self):
+        v = BaseVector.from_rows([[2, 0, -2], [1, -1], [0]])
+        shifts = standard_shifts(v)
+        assert shifts == [w for w in box_shifts(v) if is_standard(v, w)]
+        assert len(shifts) == 8 and Shift.zero(3) in shifts
+
+    @pytest.mark.parametrize("top", [(0, 1), (2, 2, 0), (3, 1, 2, 0)])
+    def test_non_dominant_top_row_has_none(self, top):
+        assert standard_shifts(BaseVector.finite(top)) == []
+
+    def test_other_families_rejected(self, v_gen3, v_rem):
+        for v in (v_gen3, v_rem):
+            with pytest.raises(ValueError, match="finite family"):
+                standard_shifts(v)
 
 
 class TestTau:
