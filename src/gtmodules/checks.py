@@ -16,7 +16,7 @@ from typing import Sequence
 from .action import ModVec, act_gamma, apply_casimir_pbw, apply_e, gamma_eval
 from .ratcalc import rf_d_pair, rf_from_linear_factors
 from .structure import basis_key, key_sort_key, reach_scan, separator
-from .tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize, singular_triple
+from .tableau import BaseVector, Kind, Shift, TabKey, canonicalize, singular_triple
 
 __all__ = [
     "commutator",
@@ -224,12 +224,9 @@ def check_separation(
 
 
 def check_drop_bound(v: BaseVector, keys: Sequence[TabKey]) -> list[dict]:
-    """Triple-set size bound along generator edges out of the given keys,
-    with full classification of drop-by-one edges; the generic family
-    admits no drops at all."""
+    """Triple-set size bound along generator edges out of the given keys:
+    one failure per edge that fails the drop audit."""
     audit = reach_scan(v, keys, audit=True)[1].to_json()
     failures = [{"type": "violation", **e} for e in audit["violations"]]
     failures.extend({"type": "unclassified", **e} for e in audit["unclassified_drops"])
-    if v.classification.family is Family.GENERIC:
-        failures.extend({"type": "generic_drop", **e} for e in audit["drop_by_one_edges"])
     return failures

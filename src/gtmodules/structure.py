@@ -244,27 +244,30 @@ def reach_scan(
     recentred level (k, 2) element, the only single element of the
     subalgebra that moves a basis vector.
 
-    With ``audit``, every summand is also checked against the triple-set
-    size bound.  A size decrease of two or more is a violation; a decrease
-    of exactly one must match one of the five local configurations.  Both
-    lists must come back empty for the audit to pass (the generic family
-    admits no decrease at all).  An audited edge names the window's own key
+    With ``audit``, every summand is also read by :func:`_drop_edge`, and
+    the edges it returns are sorted by size into the
+    :class:`DropAuditReport`.  An audited edge names the window's own key
     object for a target inside the window.
     """
     cls = v.classification
     if audit and cls.family not in (Family.GENERIC, Family.ONE_SINGULAR):
         raise ValueError("audit requires a generic or one-singular vector")
-    report = DropAuditReport(vector=v) if audit else None
+    scanned = 0
+    edges: list[DropEdge] = []
     position = {key: i for i, key in enumerate(keys)}
     # the raising and lowering generators; the diagonal E(r,r) maps a key
     # only to itself and moves nothing
     gens = [(a, b) for r in range(1, v.n) for a, b in ((r, r + 1), (r + 1, r))]
 
     def terms(key: TabKey, size_src: int, a: int, b: int):
+        nonlocal scanned
         for s0, comp_kind, tkey, coeff in _summands(v, a, b, key):
-            if report is not None:
+            if audit:
+                scanned += 1
                 i = position.get(tkey)
-                report.scan(key, size_src, a, b, s0, comp_kind, tkey if i is None else keys[i])
+                edge = _drop_edge(v, key, size_src, a, b, s0, comp_kind, tkey if i is None else keys[i])
+                if edge is not None:
+                    edges.append(edge)
             yield tkey, coeff
 
     succ: list[list[int]] = []
@@ -278,7 +281,10 @@ def reach_scan(
             k = cls.singular[0]
             targets.update(dict.fromkeys(act_gamma(v, k, 2, key, shift=key.shift).support()))
         succ.append([i for i in map(position.get, targets) if i is not None])
-    return succ, report
+    if not audit:
+        return succ, None
+    drops = tuple(e for e in edges if e.source_size - e.target_size == 1)
+    return succ, DropAuditReport(scanned, tuple(e for e in edges if e.source_size - e.target_size > 1), drops)
 
 
 def reach_closure(succ: list[list[int]], start: int) -> list[int]:
@@ -368,43 +374,24 @@ class DropEdge(NamedTuple):
     config: str | None  # one of I..V for classified drop-by-one edges
 
 
-class DropAuditReport:
-    def __init__(self, vector: BaseVector):
-        self.vector = vector
-        self.edges_scanned = 0
-        self.violations: list[DropEdge] = []
-        self.drops: list[DropEdge] = []
-        self.unclassified: list[DropEdge] = []
+class DropAuditReport(NamedTuple):
+    """The triple-set size bound on every generator summand out of the
+    window keys.  A size decrease of two or more is a violation; a decrease
+    of exactly one is a drop and must match one of the five local
+    configurations, of which the generic family has none.  The audit passes
+    when there is no violation and no unclassified drop."""
+
+    edges_scanned: int
+    violations: tuple[DropEdge, ...]
+    drops: tuple[DropEdge, ...]
+
+    @property
+    def unclassified(self) -> tuple[DropEdge, ...]:
+        return tuple(e for e in self.drops if e.config is None)
 
     @property
     def ok(self) -> bool:
         return not self.violations and not self.unclassified
-
-    def scan(
-        self, src: TabKey, size_src: int, a: int, b: int, s0: int, comp_kind: Kind, target: TabKey
-    ) -> None:
-        """Check one summand of E(a,b) on src, whose triple set has size_src
-        elements, against the size bound."""
-        self.edges_scanned += 1
-        size_tgt = sum(1 for _ in _omega_triples(self.vector, target.shift))
-        if size_tgt >= size_src:
-            return
-        drop_by_one = size_tgt == size_src - 1
-        config = _drop_config(self.vector, src, min(a, b), b - a, s0, comp_kind) if drop_by_one else None
-        edge = DropEdge(
-            source=src,
-            generator=f"E({a},{b})",
-            target=target,
-            source_size=size_src,
-            target_size=size_tgt,
-            config=config,
-        )
-        if not drop_by_one:
-            self.violations.append(edge)
-            return
-        self.drops.append(edge)
-        if config is None:
-            self.unclassified.append(edge)
 
     def to_json(self) -> dict:
         """The report as JSON data.  Each distinct key's JSON object is built
@@ -443,6 +430,18 @@ class DropAuditReport:
             "unclassified_drops": edges(self.unclassified),
             "ok": self.ok,
         }
+
+
+def _drop_edge(
+    v: BaseVector, src: TabKey, size_src: int, a: int, b: int, s0: int, comp_kind: Kind, target: TabKey
+) -> DropEdge | None:
+    """The summand of E(a,b) on src at target as an audit edge, or None
+    when the target's triple set has at least the source's size_src."""
+    size_tgt = sum(1 for _ in _omega_triples(v, target.shift))
+    if size_tgt >= size_src:
+        return None
+    config = _drop_config(v, src, min(a, b), b - a, s0, comp_kind) if size_tgt == size_src - 1 else None
+    return DropEdge(src, f"E({a},{b})", target, size_src, size_tgt, config)
 
 
 def _drop_config(

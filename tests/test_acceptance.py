@@ -131,10 +131,10 @@ def test_criterion_5_separation_suite(v_rem, win3_r1):
 def test_criterion_6_omega_drop_bound(v_gen3_chain, v_rem, win3):
     rep_gen = reach_scan(v_gen3_chain, win3.keys(v_gen3_chain), audit=True)[1]
     assert rep_gen.ok
-    assert rep_gen.drops == []
+    assert rep_gen.drops == ()
     rep_sing = reach_scan(v_rem, win3.keys(v_rem), audit=True)[1]
     assert rep_sing.ok
-    assert rep_sing.violations == [] and rep_sing.unclassified == []
+    assert rep_sing.violations == () and rep_sing.unclassified == ()
     assert all(e.config in {"I", "II", "III", "IV", "V"} for e in rep_sing.drops)
     # the published example values: sizes 2 -> 1 one step down
     center = basis_key(v_rem, Shift.zero(3))

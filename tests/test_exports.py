@@ -47,7 +47,7 @@ def test_test_only_helpers_stay_out_of_the_library():
     assert not hasattr(Window, "contains")
     assert not hasattr(BaseVector, "anchor_index")
     assert not hasattr(DropEdge, "to_json")
-    # only the tests compare reports, by vars()
+    # reports compare as tuples, with no equality of their own
     assert "__eq__" not in vars(DropAuditReport)
 
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtmodules.structure import DropAuditReport, Window, _drop_config, omega_plus, reach_scan
+import gtmodules.structure
+from gtmodules.structure import Window, _drop_config, _drop_edge, omega_plus, reach_scan
 from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, is_standard
 
 from helpers import anchor_index
@@ -143,13 +144,12 @@ def test_omega_plus_matches_on_every_window_key(request, vector, radius, paired)
 def test_drop_config_matches_on_every_audited_summand(request, monkeypatch, vector, radius, configured):
     v = request.getfixturevalue(vector)
     scanned = []
-    scan = DropAuditReport.scan
 
-    def record(self, src, size_src, a, b, s0, comp_kind, target):
+    def record(v, src, size_src, a, b, s0, comp_kind, target):
         scanned.append((src, min(a, b), b - a, s0, comp_kind))
-        scan(self, src, size_src, a, b, s0, comp_kind, target)
+        return _drop_edge(v, src, size_src, a, b, s0, comp_kind, target)
 
-    monkeypatch.setattr(DropAuditReport, "scan", record)
+    monkeypatch.setattr(gtmodules.structure, "_drop_edge", record)
     report = reach_scan(v, window_keys(v, radius), audit=True)[1]
     assert len(scanned) == report.edges_scanned > 0
     configs = set()

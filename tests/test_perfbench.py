@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # eigenvalue pairs.
 MEMO_POLICY = {
     "generic4-structure": {},
+    "singular4-structure": {},
     "singular3-verify": {
         "action.apply_e_key.hit_ratio": 0.0,
         "action.act_e.misses": 1011,

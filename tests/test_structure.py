@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import gtmodules.action
+import gtmodules.structure
 from gtmodules.action import ModVec, _summands, act_e, act_gamma, apply_e
 from gtmodules.cli import main
 from gtmodules.structure import (
@@ -14,6 +15,7 @@ from gtmodules.structure import (
     HypothesisViolated,
     Window,
     _drop_config,
+    _drop_edge,
     _omega_triples,
     basis_key,
     irreducibility_verdict,
@@ -426,14 +428,17 @@ def omega_drop_audit(v, keys):
     The reference route for the audit of reach_scan: it walks the summands
     of each generator without summing them or building a graph.
     """
-    report = DropAuditReport(vector=v)
+    scanned, violations, drops = 0, [], []
     for key in keys:
         size_src = len(omega_plus(v, key))
         for r in range(1, v.n):
             for a, b in ((r, r + 1), (r + 1, r)):
                 for s0, comp_kind, tkey, _coeff in _summands(v, a, b, key):
-                    report.scan(key, size_src, a, b, s0, comp_kind, tkey)
-    return report
+                    scanned += 1
+                    edge = _drop_edge(v, key, size_src, a, b, s0, comp_kind, tkey)
+                    if edge is not None:
+                        (drops if edge.target_size == size_src - 1 else violations).append(edge)
+    return DropAuditReport(scanned, tuple(violations), tuple(drops))
 
 
 def old_edge_json(e):
@@ -450,13 +455,11 @@ def old_edge_json(e):
 
 def fabricated_audit(v):
     """An audit report with an edge in each of its three lists."""
-    report = DropAuditReport(vector=v)
     keys = [basis_key(v, w) for w in Window(Shift.zero(3), 1).shifts()[:4]]
-    report.edges_scanned = 7
-    report.violations.append(DropEdge(keys[0], "E(2,1)", keys[1], 3, 1, None))
-    drop = DropEdge(keys[1], "E(3,2)", keys[2], 2, 1, None)
-    report.drops += [drop, DropEdge(keys[2], "E(1,2)", keys[1], 2, 1, "I")]
-    report.unclassified.append(drop)
+    violation = DropEdge(keys[0], "E(2,1)", keys[1], 3, 1, None)
+    drops = (DropEdge(keys[1], "E(3,2)", keys[2], 2, 1, None), DropEdge(keys[2], "E(1,2)", keys[1], 2, 1, "I"))
+    report = DropAuditReport(7, (violation,), drops)
+    assert report.unclassified == drops[:1]
     return report
 
 
@@ -483,8 +486,8 @@ class TestOnePass:
         own = {key: key for key in keys}
         edges = report.violations + report.drops + report.unclassified
         assert all(own[e.source] is e.source and own.get(e.target, e.target) is e.target for e in edges)
-        # the same vector, count and edge lists, in order
-        assert vars(report) == vars(omega_drop_audit(v, keys))
+        # the same count and edge lists, in order
+        assert report == omega_drop_audit(v, keys)
 
     def test_reach_scan_rejects_swap_fixed_derivative_key(self, v_rem):
         with pytest.raises(ValueError, match="swap-fixed"):
@@ -515,13 +518,12 @@ class TestDropAudit:
     def test_scan_counts_the_triple_set_of_each_target(self, request, monkeypatch, case):
         v = request.getfixturevalue(case.split("-")[0])
         targets = []
-        scan = DropAuditReport.scan
 
-        def recorded(self, src, size_src, a, b, s0, comp_kind, target):
+        def recorded(v, src, size_src, a, b, s0, comp_kind, target):
             targets.append(target)
-            return scan(self, src, size_src, a, b, s0, comp_kind, target)
+            return _drop_edge(v, src, size_src, a, b, s0, comp_kind, target)
 
-        monkeypatch.setattr(DropAuditReport, "scan", recorded)
+        monkeypatch.setattr(gtmodules.structure, "_drop_edge", recorded)
         report = reach_scan(v, TestOnePass.WINDOWS[case].keys(v), audit=True)[1]
         assert len(targets) == report.edges_scanned > 0
         for target in set(targets):
@@ -577,16 +579,63 @@ class TestDropAudit:
         v = v_rem if family is Family.ONE_SINGULAR else BaseVector.from_rows(
             [["1/2", "1/3", "1/5"], ["1/7", "1/11"], ["1/13"]]
         )
+        # the edges that make the audit fail, each once, in either family
         expected = [{"type": "violation", **old_edge_json(e)} for e in report.violations]
         expected += [{"type": "unclassified", **old_edge_json(e)} for e in report.unclassified]
-        if family is Family.GENERIC:
-            expected += [{"type": "generic_drop", **old_edge_json(e)} for e in report.drops]
         assert checks.check_drop_bound(v, []) == expected
+
+    def test_planted_generic_drops_fail_once_each(self, monkeypatch, v_gen3_chain, win3_r1):
+        # every source counts one triple more, so each edge that keeps its
+        # triple set reads as a drop by one, unclassified in the generic family
+        from gtmodules import checks
+
+        omega = gtmodules.structure.omega_plus
+        monkeypatch.setattr(gtmodules.structure, "omega_plus", lambda v, key: omega(v, key) | {(0, 0, 0)})
+        keys = win3_r1.keys(v_gen3_chain)
+        report = reach_scan(v_gen3_chain, keys, audit=True)[1]
+        assert len(report.drops) == len(report.unclassified) == 138 and not report.ok
+        failures = checks.check_drop_bound(v_gen3_chain, keys)
+        assert len(failures) == len(report.violations) + len(report.unclassified)
+        assert len({json.dumps(f, sort_keys=True) for f in failures}) == len(failures)
+
+    def test_target_counted_smaller_is_a_violation(self, monkeypatch, v_rem, win3_r1):
+        # the planted defect: each target counts one triple fewer than it has
+        drop_edge = gtmodules.structure._drop_edge
+
+        def smaller(v, src, size_src, *rest):
+            edge = drop_edge(v, src, size_src + 1, *rest)
+            return edge and edge._replace(source_size=size_src, target_size=edge.target_size - 1)
+
+        monkeypatch.setattr(gtmodules.structure, "_drop_edge", smaller)
+        report = reach_scan(v_rem, win3_r1.keys(v_rem), audit=True)[1]
+        assert report.violations and not report.ok
+
+    # I, III and V fire on the remark vector, II and IV on the vector whose
+    # top row shares the singular anchor
+    REMARK = [["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]]
+    TOP = [["8/7", "1/3", "1/5"], ["1/7", "1/7"], ["1/11"]]
+
+    @pytest.mark.parametrize("config,rows", [
+        ("I", REMARK), ("II", TOP), ("III", REMARK), ("IV", TOP), ("V", REMARK),
+    ], ids=["I", "II", "III", "IV", "V"])
+    def test_unmatched_configuration_fails_verify(self, capsys, monkeypatch, config, rows):
+        drop_config = gtmodules.structure._drop_config
+
+        def without(*args):
+            found = drop_config(*args)
+            return None if found == config else found
+
+        monkeypatch.setattr(gtmodules.structure, "_drop_config", without)
+        assert main(["verify", "--radius", "1", "--base-vector", json.dumps({"rows": rows})]) == 1
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        assert [name for name, suite in suites.items() if not suite["passed"]] == ["omega_drop_bound"]
+        failures = suites["omega_drop_bound"]["failures"]
+        assert failures and all(f["type"] == "unclassified" and f["config"] is None for f in failures)
 
     def test_generic_never_drops(self, v_gen3_chain, win3):
         report = reach_scan(v_gen3_chain, win3.keys(v_gen3_chain), audit=True)[1]
         assert report.ok
-        assert report.drops == []
+        assert report.drops == ()
         assert report.edges_scanned > 0
 
     def test_generic_edges_grow_triple_sets(self, v_gen3_chain, win3_r1):
@@ -601,7 +650,7 @@ class TestDropAudit:
     def test_remark_vector_classified(self, v_rem, win3):
         report = reach_scan(v_rem, win3.keys(v_rem), audit=True)[1]
         assert report.ok
-        assert report.violations == [] and report.unclassified == []
+        assert report.violations == () and report.unclassified == ()
         assert {e.config for e in report.drops} == {"I", "III", "V"}
 
     def test_top_sharing_vector_classified(self, v_sing_top, win3):

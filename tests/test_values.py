@@ -1,10 +1,10 @@
 """Contracts of the value types, and what importing the CLI loads.
 
 The value types are named tuples (Jet, Classification, Shift, TabKey,
-Window, SeparatorRecipe, DropEdge, Verdict) or slotted classes
-(BaseVector); their hashes equal the hash of their field tuple, so set and
-dict orders, and with them every report, do not depend on how they are
-built.
+Window, SeparatorRecipe, DropEdge, DropAuditReport, Verdict) or slotted
+classes (BaseVector); their hashes equal the hash of their field tuple, so
+set and dict orders, and with them every report, do not depend on how they
+are built.
 """
 
 import subprocess
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from gtmodules.ratcalc import Jet
-from gtmodules.structure import Window
+from gtmodules.structure import DropAuditReport, DropEdge, Window
 from gtmodules.tableau import BaseVector, Kind, Shift, TabKey
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,6 +42,14 @@ def test_hash_is_hash_of_field_tuple():
     assert hash(v) == hash((v.n, v.anchors, v.assignment, v.offsets))
 
 
+def test_drop_audit_hash_is_hash_of_field_tuple():
+    key = TabKey(Shift.zero(3), Kind.REGULAR)
+    edge = DropEdge(key, "E(3,2)", key, 2, 1, "V")
+    report = DropAuditReport(5, (), (edge,))
+    assert hash(report) == hash((5, (), (edge,)))
+    assert report == DropAuditReport(5, (), (DropEdge(key, "E(3,2)", key, 2, 1, "V"),))
+
+
 def test_repr_keeps_field_form():
     key = TabKey(Shift(3, ((0,), (1, 0))), Kind.DERIVATIVE)
     assert repr(key) == "TabKey(shift=Shift(n=3, rows=((0,), (1, 0))), kind=<Kind.DERIVATIVE: 'DT'>)"
@@ -58,11 +66,12 @@ def test_repr_keeps_field_form():
         (lambda: Shift.zero(3), "rows"),
         (lambda: TabKey(Shift.zero(3), Kind.REGULAR), "kind"),
         (lambda: Window(Shift.zero(3), 1), "radius"),
+        (lambda: DropAuditReport(0, (), ()), "drops"),
         (lambda: BaseVector.from_rows(REMARK), "n"),
         (lambda: BaseVector.from_rows(REMARK), "classification"),
         (lambda: BaseVector.from_rows(REMARK), "extra"),
     ],
-    ids=["jet", "shift", "key", "window", "vector", "vector-derived", "vector-new"],
+    ids=["jet", "shift", "key", "window", "drop-audit", "vector", "vector-derived", "vector-new"],
 )
 def test_fields_cannot_be_assigned(make, field):
     value = make()
