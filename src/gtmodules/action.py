@@ -3,10 +3,11 @@
 The classical tableau formulas act on the finite-dimensional family (with
 non-standard targets dropped) and, unfiltered, on the generic family.  In
 the one-singular family every summand coefficient is deformed along the
-line through the singular pair, t entering with +1 at (k, i) and -1 at
-(k, j); the regular-tableau action multiplies by the vanishing difference
-(realized as 2t) first, and the exact (value, half-derivative) pair at
-t = 0 then supplies the derivative-tableau cross terms.
+line through the singular pair, with the slopes that the ``BaseVector``
+docstring states and ``deformed_rows`` keeps; the regular-tableau action
+multiplies by the vanishing difference (realized as 2t) first, and the
+exact (value, half-derivative) pair at t = 0 then supplies the
+derivative-tableau cross terms.
 
 The commuting subalgebra acts in closed form through the symmetric
 rational eigenvalue functions; the power-sum realization over all index
@@ -125,19 +126,10 @@ class ModVec:
         return "ModVec(" + " + ".join(parts) + ")"
 
 
-def _slopes(singular: tuple[int, int, int] | None, r: int) -> list[int]:
-    """Slope of the deformation variable at each position of row r (index
-    s - 1): +t at (k, i), -t at (k, j) of the singular triple, else none."""
-    out = [0] * r
-    if singular is not None and singular[0] == r:
-        out[singular[1] - 1], out[singular[2] - 1] = 1, -1
-    return out
-
-
 def _row_entries(v: BaseVector, z: Shift, r: int) -> tuple[tuple[Fraction, int], ...]:
-    """Row r of the shifted tableau as deformed entries (c, m) = c + m t."""
-    row_m = _slopes(v.classification.singular, r)
-    return tuple((v.entry(r, s) + z.get(r, s), row_m[s - 1]) for s in range(1, r + 1))
+    """Row r of the shifted tableau as deformed entries (c, m) = c + m t,
+    with the slopes of ``BaseVector.deformed_rows``; row 0 is empty."""
+    return tuple((c + z.get(r, s), m) for s, (c, m) in enumerate(v.deformed_rows[r - 1] if r else (), start=1))
 
 
 def weight_eigenvalue(v: BaseVector, r: int, z: Shift) -> Fraction:
@@ -169,16 +161,13 @@ def coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift) -> Jet:
     r, direction = _summand_spec(l, m)
     if not (1 <= s0 <= r):
         raise ValueError(f"summand index {s0} out of range for row {r}")
-    # Entry by entry, not through _row_entries: building the two row tuples
-    # on every call raised peak RSS on the generic4-structure benchmark
-    # workload by 0.45 MB.
-    nb = r + direction  # the neighbouring row of the numerator
-    singular = v.classification.singular
-    row_m, nb_m = _slopes(singular, r), _slopes(singular, nb)
-    a = v.entry(r, s0) + z.get(r, s0)
-    ma = row_m[s0 - 1]
-    num = [(a - (v.entry(nb, u) + z.get(nb, u)), ma - nb_m[u - 1]) for u in range(1, nb + 1)]
-    den = [(a - (v.entry(r, u) + z.get(r, u)), ma - row_m[u - 1]) for u in range(1, r + 1) if u != s0]
+    # Entry by entry: two row tuples per call cost 0.45 MB peak RSS on generic4-structure.
+    nb = r + direction  # the neighbouring row of the numerator; row 0 is empty
+    row, nb_row = v.deformed_rows[r - 1], v.deformed_rows[nb - 1] if nb else ()
+    a, ma = row[s0 - 1]
+    a += z.get(r, s0)
+    num = [(a - (b + z.get(nb, u)), ma - mb) for u, (b, mb) in enumerate(nb_row, start=1)]
+    den = [(a - (b + z.get(r, u)), ma - mb) for u, (b, mb) in enumerate(row, start=1) if u != s0]
     return rf_from_linear_factors(num, den, -direction)
 
 

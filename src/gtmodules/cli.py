@@ -312,7 +312,7 @@ def cmd_structure(args) -> tuple[dict, int]:
         except HypothesisViolated as exc:
             report["basis_Ik_window_error"] = str(exc)
         report["drop_audit"] = audit.to_json()
-    return report, 0
+    return report, 0 if audit is None or audit.ok else 1
 
 
 def cmd_verdict(args) -> tuple[dict, int]:
@@ -327,7 +327,8 @@ def cmd_verdict(args) -> tuple[dict, int]:
         "window": {"center": win.center.to_json(), "radius": win.radius, "margin": win.margin},
         **verdict.to_json(),
     }
-    return report, 0
+    audited = report.get("interior_covered_by_bfs", True) and report.get("proper_submodule_audited", True)
+    return report, 0 if audited else 1
 
 
 def cmd_verify(args) -> tuple[dict, int]:

@@ -157,7 +157,10 @@ class BaseVector:
 
     ``assignment[r-1][s-1]`` is the anchor index of position (r, s) and
     ``offsets[r-1][s-1]`` the integer offset, for 1 <= s <= r <= n with rows
-    stored ascending.  entry(r, s) = anchors[assignment] + offset.
+    stored ascending.  ``deformed_rows[r-1]`` keeps row r as pairs (entry,
+    slope): entry(r, s) = anchors[assignment] + offset, deformed to entry +
+    slope * t along the singular pair (k, i, j) with slope +1 at (k, i), -1
+    at (k, j) and 0 elsewhere, so 0 everywhere outside the one-singular family.
 
     Within any row below the top, two positions may share an anchor only
     with equal offsets (the normalized singular configuration); the general
@@ -177,8 +180,10 @@ class BaseVector:
     assigned after construction.
     """
 
-    __slots__ = ("n", "anchors", "assignment", "offsets", "classification", "integral_pairs", "row_sums", "_hash")
+    __slots__ = ("n", "anchors", "assignment", "offsets",
+                 "classification", "deformed_rows", "integral_pairs", "row_sums", "_hash")
     classification: Classification
+    deformed_rows: tuple[tuple[tuple[Fraction, int], ...], ...]
     integral_pairs: tuple[tuple[int, int, int], ...]
     row_sums: tuple[Fraction, ...]
 
@@ -224,13 +229,17 @@ class BaseVector:
             else:
                 cls = Classification(Family.UNSUPPORTED)
         object.__setattr__(self, "classification", cls)
+        k, i, j = cls.singular or (0, 0, 0)
+        slopes = {(k, i): 1, (k, j): -1}
+        object.__setattr__(self, "deformed_rows", tuple(
+            tuple((self.anchors[a] + o, slopes.get((r, s), 0)) for s, (a, o) in enumerate(zip(arow, orow), start=1))
+            for r, (arow, orow) in enumerate(zip(self.assignment, self.offsets), start=1)
+        ))
         object.__setattr__(self, "integral_pairs", tuple(
             (r, s, t) for r in range(2, self.n + 1) for s in range(1, r + 1) for t in range(1, r)
             if self.assignment[r - 1][s - 1] == self.assignment[r - 2][t - 1]
         ))
-        object.__setattr__(self, "row_sums", tuple(
-            sum(self.entry(r, s) for s in range(1, r + 1)) for r in range(1, self.n + 1)
-        ))
+        object.__setattr__(self, "row_sums", tuple(sum(c for c, _m in row) for row in self.deformed_rows))
         object.__setattr__(self, "_hash", hash(self._values()))
 
     def _values(self) -> tuple:
@@ -253,7 +262,7 @@ class BaseVector:
     __delattr__ = __setattr__
 
     def entry(self, r: int, s: int) -> Fraction:
-        return self.anchors[self.assignment[r - 1][s - 1]] + self.offsets[r - 1][s - 1]
+        return self.deformed_rows[r - 1][s - 1][0]
 
     def int_diff(self, w: Shift, r: int, s: int, q: int, t: int) -> int | None:
         """entry(r, s) - entry(q, t) of the tableau shifted by w: an int when

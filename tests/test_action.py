@@ -19,7 +19,7 @@ from gtmodules.ratcalc import DegenerateFactor, rf_d_pair
 from gtmodules.structure import Window
 from gtmodules.tableau import BaseVector, Family, Kind, Shift, TabKey, canonicalize, is_standard
 
-from helpers import tau
+from helpers import old_coeff_e, old_deformed_rows, old_entry, tau
 
 
 def key(n, rows, kind=Kind.REGULAR):
@@ -426,6 +426,51 @@ class TestCanonicalMerging:
         for t, c in out.items():
             k2, sign = canonicalize(v_rem, t.kind, t.shift)
             assert k2 == t and sign == 1
+
+
+
+class TestDeformedRows:
+    """The deformed tableau kept on the base vector, against the per-call
+    route the action took before (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("vector", [
+        "v_fin2", "v_fin3_210", "v_gen3", "v_gen3_chain", "v_gen4_chain", "v_rem", "v_sing_irr",
+        "v_sing_top", "v_sing4", "v_sing4_rem", "v_sing4_row3", "v_two_pairs4", "weight_2110",
+    ])
+    def test_stored_rows_match_the_per_call_route(self, request, vector):
+        v = BaseVector.from_weight([2, 1, 1, 0]) if vector == "weight_2110" else request.getfixturevalue(vector)
+        assert v.deformed_rows == old_deformed_rows(v)
+        for r in range(1, v.n + 1):
+            assert v.row_sums[r - 1] == sum(old_entry(v, r, s) for s in range(1, r + 1))
+            for s in range(1, r + 1):
+                assert v.entry(r, s) == old_entry(v, r, s)
+        slopes = [m for row in v.deformed_rows for _c, m in row]
+        if v.classification.singular is None:  # v_two_pairs4 is unsupported, not one-singular
+            assert set(slopes) == {0}
+        else:
+            assert sorted(slopes) == [-1] + [0] * (len(slopes) - 2) + [1]
+
+    # every summand: each row r, each s0 and both directions, so E(2,1)'s
+    # numerator reads the empty row 0
+    @pytest.mark.parametrize("vector,radius", [
+        ("v_rem", 2), ("v_sing_top", 2), ("v_sing4_rem", 1), ("v_gen4_chain", 1),
+    ])
+    def test_coeff_e_matches_the_per_call_body(self, request, vector, radius):
+        v = request.getfixturevalue(vector)
+        shifts = dict.fromkeys(key.shift for key in Window(Shift.zero(v.n), radius).keys(v))
+        compared = 0
+        for z in shifts:
+            for r in range(1, v.n):
+                for l, m in ((r, r + 1), (r + 1, r)):
+                    for s0 in range(1, r + 1):
+                        assert coeff_e(v, l, m, s0, z) == old_coeff_e(v, l, m, s0, z)
+                        compared += 1
+        assert compared == len(shifts) * v.n * (v.n - 1)
+
+    @pytest.mark.parametrize("vector", ["v_fin2", "v_rem", "v_sing4_rem"])
+    def test_row_zero_is_empty(self, request, vector):
+        v = request.getfixturevalue(vector)
+        assert _row_entries(v, Shift.zero(v.n), 0) == ()
 
 
 def old_weight_eigenvalue(v, r, z):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import gtmodules.structure
 from gtmodules.action import (
     _MEMO_CACHES,
     NotStandard,
@@ -483,6 +484,22 @@ class TestVerdictCommand:
         assert code == 0
         assert report["status"] == "irreducible"
         assert report["interior_covered_by_bfs"] is True
+
+    @pytest.mark.parametrize("vector,closure,field", [
+        (IRR_JSON, lambda succ, start: [start], "interior_covered_by_bfs"),
+        (REMARK_JSON, lambda succ, start: list(range(len(succ))), "proper_submodule_audited"),
+    ], ids=["irreducible-uncovered", "reducible-unaudited"])
+    def test_failed_audit_exit_1(self, capsys, monkeypatch, vector, closure, field):
+        monkeypatch.setattr(gtmodules.structure, "reach_closure", closure)
+        code, report = run_cli(capsys, "verdict", "--base-vector", vector, "--radius", "2")
+        assert code == 1
+        assert report[field] is False
+
+    def test_structure_failed_drop_audit_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(gtmodules.structure, "_drop_config", lambda *args: None)
+        code, report = run_cli(capsys, "structure", "--base-vector", REMARK_JSON, "--radius", "1")
+        assert code == 1
+        assert report["drop_audit"]["ok"] is False
 
     def test_malformed_vector_exit_2(self, capsys):
         code, report = run_cli(capsys, "verdict", "--base-vector", '{"rows": [["1/2"]]}')

@@ -2,12 +2,12 @@
 
 ``perfbench/run.py --trace 1`` rebinds library functions by name and reads
 the memo caches, so a change in ``src/`` can break it without breaking any
-library test.  One traced op of the cheapest structure workload (about 2 s)
-and one of the verify workload, the only one that runs ``act_e`` and the
-vector-level commutator fold ``_apply_e_key`` whose ``cache_info()`` the
-trace reads (about 1 s), show it still runs and still passes its correctness
-gate.  The verify op's counts also pin which generator results the caches
-hold.
+library test.  One traced op of each workload, including the verify
+workload, the only one that runs ``act_e`` and the vector-level commutator
+fold ``_apply_e_key`` whose ``cache_info()`` the trace reads, shows it still
+runs and still passes its correctness gate.  Each op's work counts are
+pinned as well, and the verify op's counts also pin which generator
+results the caches hold.
 """
 
 import json
@@ -19,15 +19,36 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Counts the trace reads on the seed-0 verify op, which pin the memo policy:
-# act_e holds the 1,011 adjacent results, _apply_e_key folds each commutator
-# on a whole vector and holds none (its misses count the 750 folds, so none
-# is ever a hit), and the caches end with those, 328 labels and 58
-# eigenvalue pairs.
+# Counts the trace reads on each seed-0 op.  They pin the work a refactor
+# must keep identical: coefficient and calculus calls, the subalgebra and
+# PBW routes and the triple-set scans, with no extra run.  On the verify op
+# they also pin the memo policy: act_e holds the 1,011 adjacent results,
+# _apply_e_key folds each commutator on a whole vector and holds none (its
+# misses count the 750 folds, so none is ever a hit), and the caches end
+# with those, 328 labels and 58 eigenvalue pairs.
 MEMO_POLICY = {
-    "generic4-structure": {},
-    "singular4-structure": {},
+    "generic4-structure": {
+        "ratcalc.calls": 8748,
+        "tableau.calls": 0,
+        "action.coeff_e.calls": 8748,
+        "action.gamma.calls": 0,
+        "structure.omega_plus.calls": 731,
+    },
+    "singular4-structure": {
+        "ratcalc.calls": 17496,
+        "tableau.calls": 12340,
+        "action.coeff_e.calls": 8748,
+        "action.gamma.calls": 729,
+        "structure.omega_plus.calls": 1461,
+    },
     "singular3-verify": {
+        "ratcalc.calls": 5748,
+        "tableau.calls": 16248,
+        "action.coeff_e.calls": 2224,
+        "action.gamma.calls": 2602,
+        "structure.omega_plus.calls": 125,
+        "action.act_e.calls": 15267,
+        "action.pbw.calls": 625,
         "action.apply_e_key.hit_ratio": 0.0,
         "action.act_e.misses": 1011,
         "cache.entries": 1397,

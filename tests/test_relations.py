@@ -11,7 +11,7 @@ import pytest
 import gtmodules.checks as checks
 from gtmodules.checks import _bracket, _relation_cases, check_relations
 from gtmodules.structure import Window
-from gtmodules.tableau import Shift
+from gtmodules.tableau import BaseVector, Shift
 
 
 def old_relation_cases(n: int):
@@ -128,6 +128,25 @@ def test_negated_deep_generator_fails_the_suite(request, monkeypatch, vector, st
     assert len({str(f["key"]) for f in failed}) == len(keys)
     if v.n == 3:
         assert len(keys) == 27 and len(failed) == 54
+
+
+def test_zeroed_singular_slope_fails_relations_and_gamma_coherence(v_rem):
+    # a planted defect: the slope at (2, 2), the -t of the singular pair, set
+    # to 0 on a copy of v_rem; the copy equals v_rem, so the memo caches are
+    # emptied around it
+    from gtmodules.action import _clear_memo_caches
+
+    v = BaseVector(v_rem.n, v_rem.anchors, v_rem.assignment, v_rem.offsets)
+    (c1, m1), (c2, _m2) = v.deformed_rows[1]
+    object.__setattr__(v, "deformed_rows", (v.deformed_rows[0], ((c1, m1), (c2, 0)), v.deformed_rows[2]))
+    keys = Window(center=Shift.zero(3), radius=1, margin=1).keys(v)
+    levels = [(m, k) for m in range(1, 4) for k in range(1, min(m, 2) + 1)]
+    _clear_memo_caches()
+    try:
+        assert check_relations(v, keys)
+        assert checks.check_gamma_coherence(v, keys, levels)
+    finally:
+        _clear_memo_caches()
 
 
 def test_negated_depth_three_generator_fails_the_suite(monkeypatch, v_sing4_rem):

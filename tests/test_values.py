@@ -53,7 +53,7 @@ def test_drop_audit_hash_is_hash_of_field_tuple():
 def test_repr_keeps_field_form():
     key = TabKey(Shift(3, ((0,), (1, 0))), Kind.DERIVATIVE)
     assert repr(key) == "TabKey(shift=Shift(n=3, rows=((0,), (1, 0))), kind=<Kind.DERIVATIVE: 'DT'>)"
-    # the derived classification and integral pairs stay out of the repr
+    # the derived classification, deformed rows and integral pairs stay out of the repr
     assert repr(BaseVector.from_weight([1, 0])) == (
         "BaseVector(n=2, anchors=(Fraction(0, 1),), assignment=((0,), (0, 0)), offsets=((0,), (1, -1)))"
     )
@@ -69,9 +69,10 @@ def test_repr_keeps_field_form():
         (lambda: DropAuditReport(0, (), ()), "drops"),
         (lambda: BaseVector.from_rows(REMARK), "n"),
         (lambda: BaseVector.from_rows(REMARK), "classification"),
+        (lambda: BaseVector.from_rows(REMARK), "deformed_rows"),
         (lambda: BaseVector.from_rows(REMARK), "extra"),
     ],
-    ids=["jet", "shift", "key", "window", "drop-audit", "vector", "vector-derived", "vector-new"],
+    ids=["jet", "shift", "key", "window", "drop-audit", "vector", "vector-derived", "vector-deformed", "vector-new"],
 )
 def test_fields_cannot_be_assigned(make, field):
     value = make()
@@ -91,6 +92,7 @@ def test_vector_equality_ignores_derived_fields():
     u = BaseVector(v.n, v.anchors, v.assignment, v.offsets)
     object.__setattr__(u, "classification", None)
     object.__setattr__(u, "integral_pairs", ())
+    object.__setattr__(u, "deformed_rows", ())
     assert u == v and hash(u) == hash(v)
     assert v != BaseVector(v.n, v.anchors, v.assignment, ((0,), (0, 0), (1, 0, 0)))
 
