@@ -10,6 +10,7 @@ implementation.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -185,29 +186,22 @@ def check_separation(
     swap-related.
 
     With ``sample``, a seeded draw of that many pairs is checked, in draw
-    order.  The pairs are counted and the draw is made on their positions
-    in z-major order, so no list of all pairs is built; the draw picks the
-    same pairs as sampling that list would.
+    order.  The draw is made on pair positions in z-major order; their count
+    is N^2 minus the squared sizes of the swap classes, and one walk fills
+    the drawn positions, so no list of all pairs is built and the draw picks
+    the same pairs as sampling that list would.
     """
     singular_triple(v)
     labels = [(w, canonicalize(v, Kind.REGULAR, w)[0]) for w in shifts]
-
-    def all_pairs():
-        for z, z_reg in labels:
-            for w, w_reg in labels:
-                if w_reg != z_reg:
-                    yield z, z_reg, w
-
-    pairs = all_pairs()
+    pairs = ((z, z_reg, w) for z, z_reg in labels for w, w_reg in labels if w_reg != z_reg)
     if sample is not None:
-        total = sum(1 for _ in all_pairs())
+        total = len(labels) ** 2 - sum(c * c for c in Counter(reg for _w, reg in labels).values())
         if sample < total:
-            order = {pos: rank for rank, pos in enumerate(random.Random(seed).sample(range(total), sample))}
-            picked = [None] * sample
+            drawn = dict.fromkeys(random.Random(seed).sample(range(total), sample))
             for pos, pair in enumerate(pairs):
-                if pos in order:
-                    picked[order[pos]] = pair
-            pairs = picked
+                if pos in drawn:
+                    drawn[pos] = pair
+            pairs = drawn.values()
     failures = []
     for z, reg_z, w in pairs:
         recipe = separator(v, z, w)

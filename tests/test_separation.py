@@ -1,11 +1,12 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 import gtmodules.checks as checks
 from gtmodules.action import ModVec, _clear_memo_caches, gamma_eval
-from gtmodules.structure import basis_key, separator
+from gtmodules.structure import Window, basis_key, separator
 from gtmodules.tableau import Kind, Shift, canonicalize, singular_triple
 
 from helpers import tau
@@ -111,13 +112,44 @@ class TestSampledPairs:
         assert checks.check_separation(v, shifts, sample=sample, seed=seed) == []
         return seen
 
+    @pytest.fixture
+    def label_lists(self, v_rem, v_sing4_row3, win3_r1):
+        """(vector, labels) cases for the draw: ten gl(3) labels with
+        swap-related pairs and the first label listed three times (a swap
+        class of size 3), and the first 40 labels of a gl(4) window with
+        repeats."""
+        r1 = win3_r1.shifts()
+        gl4 = Window(center=Shift.zero(4), radius=1).shifts()[:40]
+        return {
+            "gl3-triple": (v_rem, r1[:10] + [r1[0], r1[0]]),
+            "gl4-repeats": (v_sing4_row3, gl4 + gl4[3:6] + [gl4[0]]),
+        }
+
+    def test_label_lists_have_a_class_of_three(self, label_lists):
+        for v, shifts in label_lists.values():
+            assert max(Counter(canonicalize(v, Kind.REGULAR, w)[0] for w in shifts).values()) == 3
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("sample", [0, 60])
+    @pytest.mark.parametrize("sample", [0, 1, 60])
     def test_draw_matches_listing_oracle(self, monkeypatch, v_rem, win3, sample, seed):
         shifts = win3.shifts()
         expected = listed_pairs(v_rem, shifts, sample, seed)
         assert len(expected) == sample
         assert self.checked_pairs(monkeypatch, v_rem, shifts, sample, seed) == expected
+
+    @pytest.mark.parametrize(
+        "sample, seed",
+        [(0, 0), (1, 0), (1, 3), (60, 0), (60, 3), ("count-1", 0), ("count-1", 3), ("count", 0), ("count+5", 0), (None, 0)],
+        ids=lambda x: str(x),
+    )
+    @pytest.mark.parametrize("case", ["gl3-triple", "gl4-repeats"])
+    def test_draw_in_order_on_repeated_labels(self, monkeypatch, label_lists, case, sample, seed):
+        v, shifts = label_lists[case]
+        total = len(listed_pairs(v, shifts, None, seed))
+        sample = {"count-1": total - 1, "count": total, "count+5": total + 5}.get(sample, sample)
+        expected = listed_pairs(v, shifts, sample, seed)
+        assert len(expected) == (total if sample is None else min(sample, total))
+        assert self.checked_pairs(monkeypatch, v, shifts, sample, seed) == expected
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("extra", [None, 0, 5], ids=["all", "sample=count", "sample>count"])
