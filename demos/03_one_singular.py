@@ -24,7 +24,7 @@ def show(vec):
 def main():
     a, b, c, x = F(1, 2), F(1, 3), F(1, 5), F(1, 7)
     v = BaseVector.from_rows([[a, b, c], [x, x], [x]])
-    print("classification:", v.classification)
+    print("family:", v.family.value, "singular pair:", v.singular)
 
     # canonical labels: the swap either folds (regular) or negates (derivative)
     z = Shift(3, ((0,), (1, 3)))

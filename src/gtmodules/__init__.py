@@ -9,7 +9,6 @@ verdicts).
 from .ratcalc import Jet, Rat, rf_d_pair, rf_from_linear_factors
 from .tableau import (
     BaseVector,
-    Classification,
     Family,
     Kind,
     Shift,

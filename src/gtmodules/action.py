@@ -185,7 +185,7 @@ def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int,
     are canonicalized with their sign (swap-fixed derivative targets are
     zero).
     """
-    family = v.classification.family
+    family = v.family
     singular = family is Family.ONE_SINGULAR
     z = key.shift
     row, direction = _summand_spec(r, s)
@@ -209,14 +209,11 @@ def _summands(v: BaseVector, r: int, s: int, key: TabKey) -> Iterator[tuple[int,
 
 def _check_key(v: BaseVector, key: TabKey) -> None:
     """Raise NotStandard for a non-standard tableau of the finite family and
-    ValueError for an unsupported vector, a derivative key outside the
-    one-singular family (canonicalize's error) or a swap-fixed one."""
-    cls = v.classification
-    if cls.family is Family.UNSUPPORTED:
-        raise ValueError("unsupported base vector (more than one singular pair)")
+    ValueError for a derivative key outside the one-singular family
+    (canonicalize's error) or a swap-fixed one."""
     if key.kind is Kind.DERIVATIVE and not canonicalize(v, key.kind, key.shift)[1]:
         raise ValueError("swap-fixed derivative labels are zero and not basis keys")
-    if cls.family is Family.FINITE_STANDARD and not is_standard(v, key.shift):
+    if v.family is Family.FINITE_STANDARD and not is_standard(v, key.shift):
         raise NotStandard("input tableau is not standard")
 
 

@@ -219,7 +219,7 @@ def _parse_generator(n: int, text: str):
 
 def _cmd_apply(args, expected: Family) -> tuple[dict, int]:
     v = _load_base_vector(args)
-    fam = v.classification.family
+    fam = v.family
     if fam is not expected:
         raise InputError(f"base vector classifies as {fam.value}, expected {expected.value}")
     keys = [_parse_key(v, k) for k in args.key] if args.key else [basis_key(v, Shift.zero(v.n))]
@@ -261,8 +261,8 @@ def cmd_singular(args):
 
 def cmd_structure(args) -> tuple[dict, int]:
     v = _load_base_vector(args)
-    fam = v.classification.family
-    if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
+    fam = v.family
+    if fam is Family.FINITE_STANDARD:
         raise InputError("structure analysis requires a generic or one-singular vector")
     win = _window(args, v.n)
     if args.key and len(args.key) > 1:
@@ -317,7 +317,7 @@ def cmd_structure(args) -> tuple[dict, int]:
 
 def cmd_verdict(args) -> tuple[dict, int]:
     v = _load_base_vector(args)
-    if v.classification.family is not Family.ONE_SINGULAR:
+    if v.family is not Family.ONE_SINGULAR:
         raise InputError("verdict requires a one-singular base vector")
     win = _window(args, v.n)
     verdict = irreducibility_verdict(v, win)
@@ -335,8 +335,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.sample is not None and args.sample < 0:
         raise InputError(f"--sample {args.sample}: the number of sampled pairs must be at least 0")
     v = _load_base_vector(args)
-    fam = v.classification.family
-    if fam not in (Family.GENERIC, Family.ONE_SINGULAR):
+    fam = v.family
+    if fam is Family.FINITE_STANDARD:
         raise InputError("verify requires a generic or one-singular vector")
     if fam is Family.GENERIC and args.sample is not None:
         raise InputError(f"--sample {args.sample}: the separation suite runs only on one-singular vectors")

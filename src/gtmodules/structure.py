@@ -80,7 +80,7 @@ def basis_key(v: BaseVector, w: Shift) -> TabKey:
     """The canonical basis element labelled by the shift w: the derivative
     tableau when w is its canonical label (sign +1), the regular one
     otherwise."""
-    if v.classification.family is Family.ONE_SINGULAR:
+    if v.family is Family.ONE_SINGULAR:
         key, sign = canonicalize(v, Kind.DERIVATIVE, w)
         if sign > 0:
             return key
@@ -150,7 +150,7 @@ def omega_classes(v: BaseVector, keys: list[TabKey]) -> dict[frozenset[Triple], 
     valid when no neighboring-row integral pair lies above the singular row.
     """
     omega = omega_plus
-    if v.classification.family is not Family.GENERIC:
+    if v.family is not Family.GENERIC:
         k, _i, _j = singular_triple(v)
         for r, s, t in v.integral_pairs:
             if r > k:
@@ -249,8 +249,7 @@ def reach_scan(
     :class:`DropAuditReport`.  An audited edge names the window's own key
     object for a target inside the window.
     """
-    cls = v.classification
-    if audit and cls.family not in (Family.GENERIC, Family.ONE_SINGULAR):
+    if audit and v.family is Family.FINITE_STANDARD:
         raise ValueError("audit requires a generic or one-singular vector")
     scanned = 0
     edges: list[DropEdge] = []
@@ -277,9 +276,8 @@ def reach_scan(
         size_src = len(omega_plus(v, key)) if audit else 0
         for a, b in gens:
             targets.update(dict.fromkeys(ModVec(terms(key, size_src, a, b)).support()))
-        if cls.family is Family.ONE_SINGULAR and key.kind is Kind.DERIVATIVE:
-            k = cls.singular[0]
-            targets.update(dict.fromkeys(act_gamma(v, k, 2, key, shift=key.shift).support()))
+        if key.kind is Kind.DERIVATIVE:
+            targets.update(dict.fromkeys(act_gamma(v, v.singular[0], 2, key, shift=key.shift).support()))
         succ.append([i for i in map(position.get, targets) if i is not None])
     if not audit:
         return succ, None
@@ -463,10 +461,9 @@ def _drop_config(
     regular source matches IV/V by the same test once its label is
     swap-fixed (the derivative tableau there is zero).
     """
-    cls = v.classification
-    if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
+    if v.singular is None or comp_kind is not Kind.REGULAR:
         return None
-    k, i, j = cls.singular
+    k, i, j = v.singular
     z = src.shift
 
     def equal(r: int, s: int, q: int, t: int) -> bool:

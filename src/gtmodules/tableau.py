@@ -30,7 +30,6 @@ N_CAP = 6
 __all__ = [
     "N_CAP",
     "Family",
-    "Classification",
     "Kind",
     "Shift",
     "TabKey",
@@ -46,12 +45,6 @@ class Family(enum.Enum):
     FINITE_STANDARD = "finite_standard"
     GENERIC = "generic"
     ONE_SINGULAR = "one_singular"
-    UNSUPPORTED = "unsupported"
-
-
-class Classification(NamedTuple):
-    family: Family
-    singular: tuple[int, int, int] | None = None  # (k, i, j), i < j, in row k
 
 
 class Kind(enum.Enum):
@@ -166,11 +159,13 @@ class BaseVector:
     with equal offsets (the normalized singular configuration); the general
     integral pair is reached by shifting the basis label instead.
 
-    The family the vector supports is decided once, on construction, and
-    kept in ``classification``.  A single anchor shared by every position
+    The family is decided once, on construction, and kept in ``family``,
+    with the singular pair (k, i, j), i < j, in ``singular`` (None outside
+    the one-singular family).  A single anchor shared by every position
     gives the finite standard family.  Otherwise the count of same-anchor
-    pairs inside rows 1..n-1 decides: zero pairs is generic, exactly one is
-    one-singular at (k, i, j), and two or more is unsupported.
+    pairs inside rows 1..n-1 decides: zero pairs is generic and exactly one
+    is one-singular at (k, i, j); two or more raise ValueError, as an
+    unequal same-row pair does.
 
     The neighbouring-row integral pairs are kept in ``integral_pairs``: the
     triples (r, s, t) whose positions (r, s) and (r-1, t) share an anchor.
@@ -181,8 +176,9 @@ class BaseVector:
     """
 
     __slots__ = ("n", "anchors", "assignment", "offsets",
-                 "classification", "deformed_rows", "integral_pairs", "row_sums", "_hash")
-    classification: Classification
+                 "family", "singular", "deformed_rows", "integral_pairs", "row_sums", "_hash")
+    family: Family
+    singular: tuple[int, int, int] | None
     deformed_rows: tuple[tuple[tuple[Fraction, int], ...], ...]
     integral_pairs: tuple[tuple[int, int, int], ...]
     row_sums: tuple[Fraction, ...]
@@ -204,9 +200,8 @@ class BaseVector:
             for a in row:
                 if not (0 <= a < len(self.anchors)):
                     raise ValueError("anchor index out of range")
-        if len(set(a for row in self.assignment for a in row)) == 1:
-            cls = Classification(Family.FINITE_STANDARD)
-        else:
+        family, singular = Family.FINITE_STANDARD, None
+        if len(set(a for row in self.assignment for a in row)) > 1:
             # Mixed anchors: same-row anchor sharing below the top row is
             # only supported in the normalized form with equal entries.
             pairs = []
@@ -222,14 +217,15 @@ class BaseVector:
                             )
                         if row[s] == row[u]:
                             pairs.append((r, s + 1, u + 1))
-            if not pairs:
-                cls = Classification(Family.GENERIC)
-            elif len(pairs) == 1:
-                cls = Classification(Family.ONE_SINGULAR, pairs[0])
-            else:
-                cls = Classification(Family.UNSUPPORTED)
-        object.__setattr__(self, "classification", cls)
-        k, i, j = cls.singular or (0, 0, 0)
+            if len(pairs) > 1:
+                raise ValueError(
+                    f"same-anchor pairs (row, position, position) {pairs} below the top row; "
+                    "at most one singular pair is supported"
+                )
+            family, singular = (Family.ONE_SINGULAR, pairs[0]) if pairs else (Family.GENERIC, None)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "singular", singular)
+        k, i, j = singular or (0, 0, 0)
         slopes = {(k, i): 1, (k, j): -1}
         object.__setattr__(self, "deformed_rows", tuple(
             tuple((self.anchors[a] + o, slopes.get((r, s), 0)) for s, (a, o) in enumerate(zip(arow, orow), start=1))
@@ -335,11 +331,15 @@ class BaseVector:
     @classmethod
     def from_json(cls, data) -> "BaseVector":
         """A JSON object whose rationals are "p/q" strings, indices and
-        offsets integers, and rows lists; any other JSON value raises
-        ValueError naming it or its field."""
+        offsets integers, and rows lists, with either "rows" or the four
+        anchor fields; any other JSON value, or "rows" beside an anchor
+        field, raises ValueError naming it or its field."""
         if not isinstance(data, dict):
             raise ValueError(f"a base vector must be a JSON object, got {type(data).__name__}")
         if "rows" in data:
+            conflicts = [repr(name) for name in ("n", "anchors", "assignment", "offsets") if name in data]
+            if conflicts:
+                raise ValueError(f"base vector field 'rows' conflicts with {', '.join(conflicts)}; give one or the other")
             rows = _json_list(data, "rows", nested=True)
             return cls.from_rows([[parse_rat(x) for x in row] for row in rows])
         n = _json_int(_json_field(data, "n"))
@@ -376,10 +376,9 @@ def _json_int(x) -> int:
 
 
 def singular_triple(v: BaseVector) -> tuple[int, int, int]:
-    cls = v.classification
-    if cls.family is not Family.ONE_SINGULAR:
+    if v.singular is None:
         raise ValueError("base vector is not one-singular")
-    return cls.singular
+    return v.singular
 
 
 def is_standard(v: BaseVector, w: Shift) -> bool:
@@ -409,7 +408,7 @@ def standard_shifts(v: BaseVector) -> list[Shift]:
     interlacing condition.  All entries share one anchor, so the offsets
     interlace as the entries do.
     """
-    if v.classification.family is not Family.FINITE_STANDARD:
+    if v.family is not Family.FINITE_STANDARD:
         raise ValueError("standard shifts are enumerated only in the finite family")
     patterns = [(v.offsets[-1],)]  # offset rows, top down
     for _ in range(v.n - 1):
@@ -432,12 +431,11 @@ def canonicalize(v: BaseVector, kind: Kind, w: Shift) -> tuple[TabKey, int]:
     the swapped reference carries sign -1, and a swap-fixed shift is the
     zero vector (sign 0).
     """
-    cls = v.classification
-    if cls.family is not Family.ONE_SINGULAR:
+    if v.singular is None:
         if kind is Kind.DERIVATIVE:
             raise ValueError("derivative tableaux exist only in the one-singular family")
         return TabKey(w, Kind.REGULAR), 1
-    k, i, j = cls.singular
+    k, i, j = v.singular
     d = w.get(k, i) - w.get(k, j)
     if kind is Kind.REGULAR:
         if d > 0:

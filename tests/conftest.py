@@ -80,13 +80,6 @@ def v_sing4_row3():
 
 
 @pytest.fixture(scope="session")
-def v_two_pairs4():
-    """gl(4) with same-anchor pairs in rows 3 and 2: no supported family."""
-    q = [F(k, 29) for k in range(1, 9)]
-    return BaseVector.from_rows([[q[0], q[1], q[2], q[3]], [q[4], q[4], q[5]], [q[5], q[5]], [q[6]]])
-
-
-@pytest.fixture(scope="session")
 def win3():
     return Window(center=Shift.zero(3), radius=2, margin=1)
 

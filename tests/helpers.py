@@ -35,7 +35,7 @@ def old_deformed_rows(v: BaseVector) -> tuple:
     """Every row as (entry, slope) pairs, built per row as the action built
     them before the base vector kept them."""
     return tuple(
-        tuple((old_entry(v, r, s), m) for s, m in enumerate(old_slopes(v.classification.singular, r), start=1))
+        tuple((old_entry(v, r, s), m) for s, m in enumerate(old_slopes(v.singular, r), start=1))
         for r in range(1, v.n + 1)
     )
 
@@ -45,7 +45,7 @@ def old_coeff_e(v: BaseVector, l: int, m: int, s0: int, z: Shift) -> Jet:
     on every call."""
     r, direction = _summand_spec(l, m)
     nb = r + direction
-    singular = v.classification.singular
+    singular = v.singular
     row_m, nb_m = old_slopes(singular, r), old_slopes(singular, nb)
     a = old_entry(v, r, s0) + z.get(r, s0)
     ma = row_m[s0 - 1]

@@ -61,7 +61,6 @@ class TestFiniteGl2:
         ("v_gen3", [(0,), (1, 0)], Kind.DERIVATIVE, ValueError, "only in the one-singular family"),
         ("v_fin2", [(-1,)], Kind.REGULAR, NotStandard, "not standard"),
         ("v_rem", [(0,), (1, 1)], Kind.DERIVATIVE, ValueError, "swap-fixed"),
-        ("v_two_pairs4", [(0,), (0, 0), (0, 0, 0)], Kind.REGULAR, ValueError, "unsupported"),
     ],
 )
 def test_act_e_validates_input(request, vector, rows, kind, error, message):
@@ -212,7 +211,7 @@ class TestNonAdjacentSingularPair:
     from the usual (k, 1, 2) layout."""
 
     def test_classification(self, v_sing4_row3):
-        assert v_sing4_row3.classification.singular == (3, 1, 3)
+        assert v_sing4_row3.singular == (3, 1, 3)
 
     def test_relations_hold(self, v_sing4_row3):
         from gtmodules.checks import check_relations
@@ -435,7 +434,7 @@ class TestDeformedRows:
 
     @pytest.mark.parametrize("vector", [
         "v_fin2", "v_fin3_210", "v_gen3", "v_gen3_chain", "v_gen4_chain", "v_rem", "v_sing_irr",
-        "v_sing_top", "v_sing4", "v_sing4_rem", "v_sing4_row3", "v_two_pairs4", "weight_2110",
+        "v_sing_top", "v_sing4", "v_sing4_rem", "v_sing4_row3", "weight_2110",
     ])
     def test_stored_rows_match_the_per_call_route(self, request, vector):
         v = BaseVector.from_weight([2, 1, 1, 0]) if vector == "weight_2110" else request.getfixturevalue(vector)
@@ -445,7 +444,7 @@ class TestDeformedRows:
             for s in range(1, r + 1):
                 assert v.entry(r, s) == old_entry(v, r, s)
         slopes = [m for row in v.deformed_rows for _c, m in row]
-        if v.classification.singular is None:  # v_two_pairs4 is unsupported, not one-singular
+        if v.singular is None:  # finite and generic vectors are not deformed
             assert set(slopes) == {0}
         else:
             assert sorted(slopes) == [-1] + [0] * (len(slopes) - 2) + [1]
@@ -488,7 +487,7 @@ def old_diagonal(v, r, key):
     _check_key(v, key)
     z = key.shift
     coeff = weight_eigenvalue(v, r, z)
-    family = v.classification.family
+    family = v.family
     if not coeff:
         return ModVec()
     if family is Family.ONE_SINGULAR:

@@ -37,6 +37,15 @@ IRR_JSON = json.dumps(
 GENERIC_JSON = json.dumps(
     {"rows": [["1/2", "1/3", "1/5"], ["1/7", "1/11"], ["1/13"]]}
 )
+# gl(4) with same-anchor pairs in rows 3 and 2
+TWO_PAIRS_JSON = json.dumps(
+    {"rows": [["1/29", "2/29", "3/29", "4/29"], ["5/29", "5/29", "6/29"], ["6/29", "6/29"], ["7/29"]]}
+)
+TWO_PAIRS_ERROR = {
+    "error": "ValueError",
+    "message": "same-anchor pairs (row, position, position) [(2, 1, 2), (3, 1, 2)] below the top row; "
+    "at most one singular pair is supported",
+}
 
 
 class TestFinite:
@@ -568,8 +577,17 @@ class TestVerdictCommand:
             ("assignment", [[0, 1, 2], [3, 3], 3], "'assignment' must be a list of lists"),
             ("offsets", [[0, 0, 0], [0, 0], 0], "'offsets' must be a list of lists"),
             (None, [["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]], "must be a JSON object"),
+            (
+                None,
+                {"rows": [["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]], "anchors": ["9/10"],
+                 "assignment": [[0, 0, 0], [0, 0], [0]], "offsets": [[5, 4, 3], [1, 1], [0]], "n": 3},
+                "field 'rows' conflicts with 'n', 'anchors', 'assignment', 'offsets'; give one or the other",
+            ),
         ],
-        ids=["rows-number", "rows-flat", "anchors-string", "assignment-row-number", "offsets-row-number", "array"],
+        ids=[
+            "rows-number", "rows-flat", "anchors-string", "assignment-row-number", "offsets-row-number", "array",
+            "rows-with-anchor-fields",
+        ],
     )
     def test_json_shape_exit_2(self, capsys, tmp_path, field, value, shown):
         # a container of the wrong JSON type is malformed input naming its
@@ -796,18 +814,19 @@ class TestVerify:
         assert "separation" not in report["suites"]
 
     @pytest.mark.parametrize(
-        "vector_args",
+        "vector_args,error",
         [
-            ["--anchors", "0", "--assignment", "0,0,0;0,0;0", "--offsets", "2,1,0;1,0;0"],
-            ["--base-vector", json.dumps({"rows": [["1/29", "2/29", "3/29", "4/29"], ["5/29", "5/29", "6/29"],
-                                                   ["6/29", "6/29"], ["7/29"]]})],
+            (["--anchors", "0", "--assignment", "0,0,0;0,0;0", "--offsets", "2,1,0;1,0;0"],
+             {"error": "InputError", "message": "verify requires a generic or one-singular vector"}),
+            # two singular pairs: refused where the vector is built
+            (["--base-vector", TWO_PAIRS_JSON], TWO_PAIRS_ERROR),
         ],
         ids=["finite", "unsupported"],
     )
-    def test_other_families_rejected_up_front(self, capsys, vector_args):
+    def test_other_families_rejected_up_front(self, capsys, vector_args, error):
         code, report = run_cli(capsys, "verify", "--radius", "1", *vector_args)
         assert code == 2
-        assert report == {"error": "InputError", "message": "verify requires a generic or one-singular vector"}
+        assert report == error
 
     def test_exit_code_1_on_suite_failure(self, capsys, monkeypatch):
         from gtmodules import checks
@@ -821,6 +840,16 @@ class TestVerify:
         assert code == 1
         assert report["passed"] is False
         assert report["suites"]["relations"]["passed"] is False
+
+
+class TestTwoSingularPairs:
+    @pytest.mark.parametrize("command", ["generic", "singular", "structure", "verdict", "verify"])
+    def test_rejected_where_built_exit_2(self, capsys, command):
+        code = main([command, "--base-vector", TWO_PAIRS_JSON])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == TWO_PAIRS_ERROR
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestInternalErrors:

@@ -62,10 +62,9 @@ def drop_config_fraction(
     s0: int,
     comp_kind: Kind,
 ) -> str | None:
-    cls = v.classification
-    if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
+    if v.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
         return None
-    k, i, j = cls.singular
+    k, i, j = v.singular
     z = src.shift
 
     def ent(r: int, s: int) -> Fraction:

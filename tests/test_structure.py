@@ -183,14 +183,14 @@ class TestOmegaSets:
 def old_basis_N_window(v, w0, keys):
     """The submodule basis prediction before the window keys were grouped
     once: a rescan of the window per query."""
-    if v.classification.family is not Family.GENERIC:
+    if v.family is not Family.GENERIC:
         raise ValueError("submodule basis prediction requires a generic vector")
     base = omega_plus(v, w0)
     return {k for k in keys if base <= omega_plus(v, k)}
 
 
 def old_basis_I_window(v, w0, keys):
-    if v.classification.family is not Family.GENERIC:
+    if v.family is not Family.GENERIC:
         raise ValueError("subquotient basis prediction requires a generic vector")
     base = omega_plus(v, w0)
     return {k for k in keys if omega_plus(v, k) == base}
@@ -234,7 +234,7 @@ class TestWindowBases:
         v = request.getfixturevalue(vector)
         keys = Window(center=Shift.zero(v.n), radius=radius).keys(v)
         classes = omega_classes(v, keys)
-        generic = v.classification.family is Family.GENERIC
+        generic = v.family is Family.GENERIC
         omega = omega_plus if generic else omega_k_plus
         assert list(classes) == list(dict.fromkeys(omega(v, k) for k in keys))
         for c, members in classes.items():
@@ -377,8 +377,8 @@ def act_e_reach_edges(v, key, win):
             for tkey in act_e(v, a, b, key).support():
                 if old_contains(win, tkey.shift) and tkey not in edges:
                     edges[tkey] = f"E({a},{b})"
-    if v.classification.singular is not None and key.kind is Kind.DERIVATIVE:
-        k = v.classification.singular[0]
+    if v.singular is not None and key.kind is Kind.DERIVATIVE:
+        k = v.singular[0]
         for tkey in act_gamma(v, k, 2, key, shift=key.shift).support():
             if old_contains(win, tkey.shift) and tkey not in edges:
                 edges[tkey] = f"C({k},2)"
@@ -724,10 +724,9 @@ def drop_config_five_branch(v, src, row, direction, s0, comp_kind):
     """The drop-by-one matcher as five separate branches, one per
     configuration, each testing its own source kind and row pattern: the
     reference for the merged ``_drop_config``."""
-    cls = v.classification
-    if cls.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
+    if v.family is not Family.ONE_SINGULAR or comp_kind is not Kind.REGULAR:
         return None
-    k, i, j = cls.singular
+    k, i, j = v.singular
     z = src.shift
 
     def equal(r, s, q, t):

@@ -22,28 +22,29 @@ from helpers import anchor_index, tau, weyl_dimension
 
 class TestClassification:
     def test_fully_generic(self, v_gen3):
-        assert v_gen3.classification.family is Family.GENERIC
+        assert v_gen3.family is Family.GENERIC
 
     def test_one_singular_remark_pattern(self, v_rem):
-        cls = v_rem.classification
-        assert cls.family is Family.ONE_SINGULAR
-        assert cls.singular == (2, 1, 2)
+        assert v_rem.family is Family.ONE_SINGULAR
+        assert v_rem.singular == (2, 1, 2)
 
     def test_row1_anchor_change_still_singular(self):
         # (a, b, c | x, x | y): distinct bottom anchor, same singular pair
         v = BaseVector.from_rows([[F(1, 2), F(1, 3), F(1, 5)], [F(1, 7), F(1, 7)], [F(1, 11)]])
-        assert v.classification.singular == (2, 1, 2)
+        assert v.singular == (2, 1, 2)
 
     def test_two_pairs_unsupported(self):
+        # row 3 of gl(4) with one anchor three times: three same-anchor pairs
         q = [F(k, 17) for k in range(1, 8)]
-        v = BaseVector.from_rows([[q[0], q[1], q[2], q[3]], [q[4], q[4], q[4]], [q[5], q[6]], [q[0] + 2]])
-        assert v.classification.family is Family.UNSUPPORTED
+        with pytest.raises(ValueError, match=r"\[\(3, 1, 2\), \(3, 1, 3\), \(3, 2, 3\)\] below the top row"):
+            BaseVector.from_rows([[q[0], q[1], q[2], q[3]], [q[4], q[4], q[4]], [q[5], q[6]], [q[0] + 2]])
 
     def test_finite_family(self, v_fin2):
-        assert v_fin2.classification.family is Family.FINITE_STANDARD
+        assert v_fin2.family is Family.FINITE_STANDARD
+        assert v_fin2.singular is None
 
     def test_cross_row_sharing_stays_generic(self, v_gen3_chain):
-        assert v_gen3_chain.classification.family is Family.GENERIC
+        assert v_gen3_chain.family is Family.GENERIC
 
 
 class TestValidation:
@@ -55,6 +56,37 @@ class TestValidation:
         # row 2 entries x and x+1 share an anchor with unequal offsets
         with pytest.raises(ValueError, match="normalize"):
             BaseVector.from_rows([[F(1, 2), F(1, 3), F(1, 5)], [F(1, 7), F(8, 7)], [F(1, 11)]])
+
+    # gl(4) (a,b,c,d | x,x,y | y,y | z): same-anchor pairs in rows 3 and 2
+    TWO_PAIRS = (
+        4,
+        tuple(F(k, 29) for k in range(1, 8)),
+        ((6,), (5, 5), (4, 4, 5), (0, 1, 2, 3)),
+        ((0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)),
+    )
+    TWO_PAIRS_SHOWN = (
+        "same-anchor pairs (row, position, position) [(2, 1, 2), (3, 1, 2)] below the top row; "
+        "at most one singular pair is supported"
+    )
+
+    @pytest.mark.parametrize("route", ["constructor", "from_rows", "from_json-anchors", "from_json-rows"])
+    def test_two_singular_pairs_rejected_where_built(self, route):
+        n, anchors, assignment, offsets = self.TWO_PAIRS
+        rows = [[anchors[a] + o for a, o in zip(arow, orow)] for arow, orow in zip(assignment[::-1], offsets[::-1])]
+        build = {
+            "constructor": lambda: BaseVector(*self.TWO_PAIRS),
+            "from_rows": lambda: BaseVector.from_rows(rows),
+            "from_json-anchors": lambda: BaseVector.from_json({
+                "n": n,
+                "anchors": [str(a) for a in anchors],
+                "assignment": [list(row) for row in assignment[::-1]],
+                "offsets": [list(row) for row in offsets[::-1]],
+            }),
+            "from_json-rows": lambda: BaseVector.from_json({"rows": [[str(x) for x in row] for row in rows]}),
+        }[route]
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == self.TWO_PAIRS_SHOWN
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):
@@ -246,6 +278,16 @@ class TestJson:
     def test_rows_input_normalizes(self, v_rem):
         data = {"rows": [["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]]}
         assert BaseVector.from_json(data) == v_rem
+
+    @pytest.mark.parametrize("fields", [["n"], ["offsets"], ["n", "anchors", "assignment", "offsets"]], ids=str)
+    def test_rows_beside_anchor_fields_rejected(self, v_rem, fields):
+        # reading one form and ignoring the other would hide a mistake
+        data = {"rows": [["1/2", "1/3", "1/5"], ["1/7", "1/7"], ["1/7"]]}
+        data.update({name: v_rem.to_json()[name] for name in fields})
+        with pytest.raises(ValueError) as exc:
+            BaseVector.from_json(data)
+        shown = ", ".join(repr(name) for name in fields)
+        assert str(exc.value) == f"base vector field 'rows' conflicts with {shown}; give one or the other"
 
     def test_shift_roundtrip(self):
         w = Shift(3, ((4,), (-1, 2)))

@@ -1,10 +1,10 @@
 """Contracts of the value types, and what importing the CLI loads.
 
-The value types are named tuples (Jet, Classification, Shift, TabKey,
-Window, SeparatorRecipe, DropEdge, DropAuditReport, Verdict) or slotted
-classes (BaseVector); their hashes equal the hash of their field tuple, so
-set and dict orders, and with them every report, do not depend on how they
-are built.
+The value types are named tuples (Jet, Shift, TabKey, Window,
+SeparatorRecipe, DropEdge, DropAuditReport, Verdict) or slotted classes
+(BaseVector); their hashes equal the hash of their field tuple, so set and
+dict orders, and with them every report, do not depend on how they are
+built.
 """
 
 import subprocess
@@ -53,7 +53,7 @@ def test_drop_audit_hash_is_hash_of_field_tuple():
 def test_repr_keeps_field_form():
     key = TabKey(Shift(3, ((0,), (1, 0))), Kind.DERIVATIVE)
     assert repr(key) == "TabKey(shift=Shift(n=3, rows=((0,), (1, 0))), kind=<Kind.DERIVATIVE: 'DT'>)"
-    # the derived classification, deformed rows and integral pairs stay out of the repr
+    # the derived family, singular pair, deformed rows and integral pairs stay out of the repr
     assert repr(BaseVector.from_weight([1, 0])) == (
         "BaseVector(n=2, anchors=(Fraction(0, 1),), assignment=((0,), (0, 0)), offsets=((0,), (1, -1)))"
     )
@@ -68,11 +68,15 @@ def test_repr_keeps_field_form():
         (lambda: Window(Shift.zero(3), 1), "radius"),
         (lambda: DropAuditReport(0, (), ()), "drops"),
         (lambda: BaseVector.from_rows(REMARK), "n"),
-        (lambda: BaseVector.from_rows(REMARK), "classification"),
+        (lambda: BaseVector.from_rows(REMARK), "family"),
+        (lambda: BaseVector.from_rows(REMARK), "singular"),
         (lambda: BaseVector.from_rows(REMARK), "deformed_rows"),
         (lambda: BaseVector.from_rows(REMARK), "extra"),
     ],
-    ids=["jet", "shift", "key", "window", "drop-audit", "vector", "vector-derived", "vector-deformed", "vector-new"],
+    ids=[
+        "jet", "shift", "key", "window", "drop-audit", "vector", "vector-derived", "vector-singular", "vector-deformed",
+        "vector-new",
+    ],
 )
 def test_fields_cannot_be_assigned(make, field):
     value = make()
@@ -90,7 +94,8 @@ def test_vector_cannot_lose_a_field():
 def test_vector_equality_ignores_derived_fields():
     v = BaseVector.from_rows(REMARK)
     u = BaseVector(v.n, v.anchors, v.assignment, v.offsets)
-    object.__setattr__(u, "classification", None)
+    object.__setattr__(u, "family", None)
+    object.__setattr__(u, "singular", None)
     object.__setattr__(u, "integral_pairs", ())
     object.__setattr__(u, "deformed_rows", ())
     assert u == v and hash(u) == hash(v)
