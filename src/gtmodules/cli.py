@@ -288,7 +288,7 @@ def cmd_structure(args) -> tuple[dict, int]:
     }
     report["reach_closure_size"] = len(reach_closure(succ, focus))
     report["window_size"] = len(keys)
-    components = reach_components(succ, keys)
+    components = reach_components(succ)
     report["reach_components"] = {
         "count": len(components),
         "sizes": [len(c) for c in components[:10]],
@@ -327,8 +327,7 @@ def cmd_verdict(args) -> tuple[dict, int]:
         "window": {"center": win.center.to_json(), "radius": win.radius, "margin": win.margin},
         **verdict.to_json(),
     }
-    audited = report.get("interior_covered_by_bfs", True) and report.get("proper_submodule_audited", True)
-    return report, 0 if audited else 1
+    return report, 0 if verdict.ok else 1
 
 
 def cmd_verify(args) -> tuple[dict, int]:

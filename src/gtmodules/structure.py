@@ -106,8 +106,8 @@ class Window(_WindowFields):
         return tuple.__new__(cls, (center, radius, margin))
 
     def shifts(self) -> list[Shift]:
-        """Every shift of the box, the last position varying fastest.  Each
-        row's candidates are built once, so the shifts share row tuples."""
+        """Every shift of the box, ascending in ``rows`` (so the window keys
+        come in :func:`key_sort_key` order); the shifts share row tuples."""
         R = self.radius
         rows = (product(*(range(c - R, c + R + 1) for c in row)) for row in self.center.rows)
         return [Shift(self.center.n, combo) for combo in product(*rows)]
@@ -304,10 +304,10 @@ def reach_closure(succ: list[list[int]], start: int) -> list[int]:
     return order
 
 
-def reach_components(succ: list[list[int]], keys: list[TabKey]) -> list[list[int]]:
+def reach_components(succ: list[list[int]]) -> list[list[int]]:
     """Strongly connected components of the reach graph (Tarjan), each a
-    list of positions, largest first and then by their least key under
-    :func:`key_sort_key`.
+    list of positions, largest first and then by their least position (on
+    window keys, their least key under :func:`key_sort_key`).
 
     Boundary keys often form singletons because their outgoing edges leave
     the window; claims should therefore be read on interior keys only.
@@ -360,7 +360,7 @@ def reach_components(succ: list[list[int]], keys: list[TabKey]) -> list[list[int
                         if m == node:
                             break
                     components.append(comp)
-    return sorted(components, key=lambda c: (-len(c), min(key_sort_key(keys[i]) for i in c)))
+    return sorted(components, key=lambda c: (-len(c), min(c)))
 
 
 class DropEdge(NamedTuple):
@@ -483,6 +483,9 @@ def _drop_config(
 
 
 class Verdict(NamedTuple):
+    """The status and its window evidence, the interior keys that one closure
+    omits (in window order); the witness fields are set when reducible."""
+
     status: str  # "irreducible" or "reducible"
     neighbor_integral_pairs: tuple[Triple, ...]
     witness: Shift | None = None
@@ -490,7 +493,15 @@ class Verdict(NamedTuple):
     closure_size: int | None = None
     window_size: int | None = None
     omitted_interior: tuple[TabKey, ...] = ()
-    interior_covered: bool | None = None
+
+    @property
+    def interior_covered(self) -> bool:
+        return not self.omitted_interior
+
+    @property
+    def ok(self) -> bool:
+        """The closure omits an interior key exactly when the status is reducible."""
+        return bool(self.omitted_interior) == (self.status == "reducible")
 
     def to_json(self) -> dict:
         out = {
@@ -503,44 +514,32 @@ class Verdict(NamedTuple):
             out["closure_size"] = self.closure_size
             out["window_size"] = self.window_size
             out["omitted_interior_examples"] = [k.to_json() for k in self.omitted_interior[:5]]
-            out["proper_submodule_audited"] = bool(self.omitted_interior)
-        if self.interior_covered is not None:
+            out["proper_submodule_audited"] = not self.interior_covered
+        else:
             out["interior_covered_by_bfs"] = self.interior_covered
         return out
 
 
 def irreducibility_verdict(v: BaseVector, win: Window) -> Verdict:
-    """Irreducibility of the one-singular module, with an audited witness.
+    """Irreducibility of the one-singular module, with window evidence.
 
     The module is irreducible exactly when no two entries of neighboring
-    rows differ by an integer.  In the reducible case the witness shift
-    maximizes the triple-set size over the window (lexicographic
-    tie-break); the generated submodule is audited to be proper by checking
-    that its reachability closure omits interior keys.
+    rows differ by an integer.  The evidence is one reachability closure,
+    from the witness (the first window key of largest triple set) when
+    reducible and from the center's basis key otherwise.
     """
     singular_triple(v)
     pairs = v.integral_pairs
     keys = win.keys(v)
-    succ = reach_scan(v, keys)[0]
-    interior = [i for i, k in enumerate(keys) if win.is_interior(k.shift)]
-    if not pairs:
-        closure = set(reach_closure(succ, keys.index(basis_key(v, win.center))))
-        return Verdict(
-            status="irreducible",
-            neighbor_integral_pairs=(),
-            interior_covered=set(interior) <= closure,
-            closure_size=len(closure),
-            window_size=len(keys),
-        )
-    witness = min(keys, key=lambda k: (-len(omega_plus(v, k)), k.shift.rows))
-    closure = set(reach_closure(succ, keys.index(witness)))
-    omitted = sorted((keys[i] for i in interior if i not in closure), key=key_sort_key)
+    start = max(keys, key=lambda k: len(omega_plus(v, k))) if pairs else basis_key(v, win.center)
+    closure = set(reach_closure(reach_scan(v, keys)[0], keys.index(start)))
+    omitted = tuple(k for i, k in enumerate(keys) if i not in closure and win.is_interior(k.shift))
     return Verdict(
-        status="reducible",
+        status="reducible" if pairs else "irreducible",
         neighbor_integral_pairs=pairs,
-        witness=witness.shift,
-        witness_omega_size=len(omega_plus(v, witness)),
+        witness=start.shift if pairs else None,
+        witness_omega_size=len(omega_plus(v, start)) if pairs else None,
         closure_size=len(closure),
         window_size=len(keys),
-        omitted_interior=tuple(omitted),
+        omitted_interior=omitted,
     )

@@ -1,8 +1,11 @@
 """Small helpers that only the tests call; the library does not carry them."""
 
+from typing import NamedTuple
+
 from gtmodules.action import _summand_spec
 from gtmodules.ratcalc import Jet, rf_from_linear_factors
-from gtmodules.tableau import BaseVector, Shift, singular_triple
+from gtmodules.structure import Triple, Window, basis_key, key_sort_key, omega_plus, reach_closure, reach_scan
+from gtmodules.tableau import BaseVector, Shift, TabKey, singular_triple
 
 
 def tau(v: BaseVector, w: Shift) -> Shift:
@@ -66,3 +69,71 @@ def weyl_dimension(weight) -> int:
             den *= j - i
     assert num % den == 0
     return num // den
+
+
+class OldVerdict(NamedTuple):
+    """The verdict as it was built by two closure branches, with the
+    irreducible branch's coverage stored as a field of its own."""
+
+    status: str
+    neighbor_integral_pairs: tuple[Triple, ...]
+    witness: Shift | None = None
+    witness_omega_size: int | None = None
+    closure_size: int | None = None
+    window_size: int | None = None
+    omitted_interior: tuple[TabKey, ...] = ()
+    interior_covered: bool | None = None
+
+    def to_json(self) -> dict:
+        out = {
+            "status": self.status,
+            "neighbor_integral_pairs": [list(t) for t in self.neighbor_integral_pairs],
+        }
+        if self.witness is not None:
+            out["witness"] = self.witness.to_json()
+            out["witness_omega_plus_size"] = self.witness_omega_size
+            out["closure_size"] = self.closure_size
+            out["window_size"] = self.window_size
+            out["omitted_interior_examples"] = [k.to_json() for k in self.omitted_interior[:5]]
+            out["proper_submodule_audited"] = bool(self.omitted_interior)
+        if self.interior_covered is not None:
+            out["interior_covered_by_bfs"] = self.interior_covered
+        return out
+
+
+def old_irreducibility_verdict(v: BaseVector, win: Window) -> OldVerdict:
+    """The verdict with one closure per status: the centre's in the
+    irreducible case, the witness's (largest triple set, least rows) in the
+    reducible case, whose omitted interior keys are sorted by key."""
+    singular_triple(v)
+    pairs = v.integral_pairs
+    keys = win.keys(v)
+    succ = reach_scan(v, keys)[0]
+    interior = [i for i, k in enumerate(keys) if win.is_interior(k.shift)]
+    if not pairs:
+        closure = set(reach_closure(succ, keys.index(basis_key(v, win.center))))
+        return OldVerdict(
+            status="irreducible",
+            neighbor_integral_pairs=(),
+            interior_covered=set(interior) <= closure,
+            closure_size=len(closure),
+            window_size=len(keys),
+        )
+    witness = min(keys, key=lambda k: (-len(omega_plus(v, k)), k.shift.rows))
+    closure = set(reach_closure(succ, keys.index(witness)))
+    omitted = sorted((keys[i] for i in interior if i not in closure), key=key_sort_key)
+    return OldVerdict(
+        status="reducible",
+        neighbor_integral_pairs=pairs,
+        witness=witness.shift,
+        witness_omega_size=len(omega_plus(v, witness)),
+        closure_size=len(closure),
+        window_size=len(keys),
+        omitted_interior=tuple(omitted),
+    )
+
+
+def old_verdict_passes(report: dict) -> bool:
+    """The verdict command's exit rule read back from its own report: exit
+    0 unless a present audit field reads false."""
+    return report.get("interior_covered_by_bfs", True) and report.get("proper_submodule_audited", True)

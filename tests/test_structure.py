@@ -47,7 +47,7 @@ def closure_keys(keys, succ, key):
 
 def component_keys(keys, succ):
     """The components in their order, each as a set of keys."""
-    return [frozenset(keys[i] for i in c) for c in reach_components(succ, keys)]
+    return [frozenset(keys[i] for i in c) for c in reach_components(succ)]
 
 
 def shift3(rows):
@@ -410,7 +410,7 @@ class TestPositionRoute:
             reached = reach_closure(succ, i)
             assert reached[0] == i and len(set(reached)) == len(reached)
             assert {keys[j] for j in reached} == key_closure(graph, key)
-        comps = reach_components(succ, keys)
+        comps = reach_components(succ)
         assert sorted(j for c in comps for j in c) == list(range(len(keys)))
         # the same partition, in the same order
         assert [frozenset(keys[j] for j in c) for c in comps] == key_components(graph)
